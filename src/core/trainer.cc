@@ -422,13 +422,6 @@ std::vector<nn::Quantizable*> TrainedSelector::QuantizableLayers() const {
   return layers;
 }
 
-bool TrainedSelector::IsInt8() const {
-  for (nn::Quantizable* q : QuantizableLayers()) {
-    if (q->IsQuantized()) return true;
-  }
-  return false;
-}
-
 StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::QuantizeInt8(
     const std::vector<std::vector<float>>& calibration_windows) const {
   if (calibration_windows.empty()) {
@@ -444,6 +437,7 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::QuantizeInt8(
   // the absmax of the activations it will later quantize.
   KDSEL_RETURN_NOT_OK(quantized->Logits(calibration_windows).status());
   for (nn::Quantizable* q : layers) q->EndQuantCalibration();
+  quantized->int8_ = true;
   return quantized;
 }
 
@@ -483,6 +477,7 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Clone() const {
     KDSEL_RETURN_NOT_OK(nn::ApplyActivationScales(
         clone->QuantizableLayers(),
         nn::CollectActivationScales(QuantizableLayers())));
+    clone->int8_ = true;
   }
   return clone;
 }
@@ -587,6 +582,7 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Load(
     KDSEL_RETURN_NOT_OK(nn::ApplyActivationScales(
         selector->QuantizableLayers(),
         std::vector<float>(scales.raw(), scales.raw() + scales.size())));
+    selector->int8_ = true;
   }
   return selector;
 }

@@ -46,49 +46,35 @@ std::vector<Parameter*> Conv1d::Parameters() {
 Tensor Conv1d::Forward(const Tensor& input, bool training) {
   KDSEL_SPAN("nn.conv1d.forward");
   KDSEL_CHECK(input.rank() == 3 && input.dim(1) == in_channels_);
-  if (!training) {
+  // Only a training forward is followed by Backward; inference drops
+  // the cache instead of copying the whole input on every call.
+  if (training) {
+    cached_input_ = input;
+  } else {
+    cached_input_ = Tensor();
     if (calibrating_) {
       act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
     } else if (quantized_) {
       return ForwardInt8(input);
     }
   }
-  cached_input_ = input;
   const size_t B = input.dim(0), L = input.dim(2);
   const size_t K = kernel_size_;
-  const ptrdiff_t pad = static_cast<ptrdiff_t>((K - 1) / 2);
-  Tensor out({B, out_channels_, L});
+  Tensor out;
+  out.Resize({B, out_channels_, L});  // the kernel writes every element
   const kernels::Ops& ops = kernels::Dispatch();
   const float* x = input.raw();
   const float* w = weight_.value.raw();
+  const float* bias = use_bias_ ? bias_.value.raw() : nullptr;
   float* y = out.raw();
   // Each batch item writes a disjoint slice of `out`, so batch-parallel
-  // execution is race-free and bitwise-deterministic. Each kernel tap is
-  // an axpy over the valid [t_lo, t_hi) range of the shifted input row.
+  // execution is race-free; the kernel's per-element operation order
+  // depends only on the shapes, so results are bitwise-deterministic.
   ParallelFor(B, 1, [&](size_t b_begin, size_t b_end) {
-  for (size_t b = b_begin; b < b_end; ++b) {
-    const float* xb = x + b * in_channels_ * L;
-    float* yb = y + b * out_channels_ * L;
-    for (size_t co = 0; co < out_channels_; ++co) {
-      float* yrow = yb + co * L;
-      const float* wco = w + co * in_channels_ * K;
-      for (size_t ci = 0; ci < in_channels_; ++ci) {
-        const float* xrow = xb + ci * L;
-        const float* wk = wco + ci * K;
-        for (size_t k = 0; k < K; ++k) {
-          const ptrdiff_t shift = static_cast<ptrdiff_t>(k) - pad;
-          const size_t t_lo = shift < 0 ? static_cast<size_t>(-shift) : 0;
-          const size_t t_hi =
-              shift > 0 ? L - static_cast<size_t>(shift) : L;
-          ops.axpy(yrow + t_lo, wk[k],
-                   xrow + static_cast<size_t>(static_cast<ptrdiff_t>(t_lo) +
-                                              shift),
-                   t_hi - t_lo);
-        }
-      }
-      if (use_bias_) ops.add_scalar(yrow, bias_.value[co], L);
-    }
-  }
+    ScratchBuffer pad(in_channels_ *
+                      (L + K - 1 + kernels::kConv1dPadSlack));
+    ops.conv1d_forward(x, w, bias, y, pad.data(), in_channels_,
+                       out_channels_, K, L, b_begin, b_end);
   });
   return out;
 }
@@ -189,6 +175,8 @@ void Conv1d::ClearQuantization() {
 
 Tensor Conv1d::Backward(const Tensor& grad_output) {
   KDSEL_SPAN("nn.conv1d.backward");
+  // An inference forward leaves no cache: Backward needs a training one.
+  KDSEL_CHECK(!cached_input_.empty());
   const size_t B = cached_input_.dim(0), L = cached_input_.dim(2);
   const size_t K = kernel_size_;
   KDSEL_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == B &&

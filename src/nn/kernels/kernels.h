@@ -21,6 +21,10 @@ enum class Variant {
   kAvx2 = 2,
 };
 
+/// Extra floats per padded row that Ops::conv1d_forward may use past the
+/// right "same" padding: at least the widest vector width minus one.
+inline constexpr size_t kConv1dPadSlack = 8;
+
 /// Function-pointer table for the hot numeric kernels. All matrices are
 /// row-major float. Row-range kernels ([i0,i1) / [k0,k1)) exist so
 /// ParallelFor chunks map 1:1 onto kernel calls; every kernel uses a
@@ -50,8 +54,6 @@ struct Ops {
   void (*axpy)(float* y, float a, const float* x, size_t n);
   /// x[i] *= a
   void (*scale)(float* x, float a, size_t n);
-  /// x[i] += a
-  void (*add_scalar)(float* x, float a, size_t n);
   /// y[i] = s * x[i]
   void (*scaled_copy)(float* y, const float* x, float s, size_t n);
   /// g[i] = s * (p[i] - t[i])
@@ -68,6 +70,27 @@ struct Ops {
   /// sum_i gy[i] * x[i] (the weight-gradient contribution).
   float (*conv_grad_tap)(const float* gy, const float* x, float w, float* gx,
                          size_t n);
+
+  /// Conv1d forward (stride 1, "same" zero padding: (k-1)/2 left,
+  /// k-1-(k-1)/2 right) for batch items [b0, b1) of x:[B, c_in, l] with
+  /// w:[c_out, c_in, k] and bias:[c_out] (nullptr: no bias). Overwrites
+  /// y:[B, c_out, l]. `pad` is caller-owned scratch of at least
+  /// c_in * (l + k - 1 + kConv1dPadSlack) floats; the kernel copies each
+  /// batch item into it as zero-padded rows, so it never allocates.
+  ///
+  /// Bitwise contract: every y element starts at +0, accumulates w*x
+  /// with ci outer and k inner using the same per-element multiply-add
+  /// as this variant's `axpy`, and adds the bias last — the operation
+  /// sequence of one axpy per (c_out, c_in, tap) over the tap's valid
+  /// range followed by a bias add. Taps that fall on the padding become
+  /// acc + w*0, which leaves acc unchanged when w is finite (acc is
+  /// never -0), so for finite weights the result is bitwise identical
+  /// to that tap-axpy loop; non-finite inputs propagate to the same
+  /// outputs. Weights must be finite: an Inf/NaN weight times a pad
+  /// zero would poison outputs the tap-axpy loop leaves untouched.
+  void (*conv1d_forward)(const float* x, const float* w, const float* bias,
+                         float* y, float* pad, size_t c_in, size_t c_out,
+                         size_t k, size_t l, size_t b0, size_t b1);
 
   /// y = softmax(x) over one row of length m (max-shifted, double-
   /// accumulated normalizer; matches the original SoftmaxRows math).

@@ -81,10 +81,6 @@ KDSEL_HOT void Scale(float* x, float a, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] *= a;
 }
 
-KDSEL_HOT void AddScalar(float* x, float a, size_t n) {
-  for (size_t i = 0; i < n; ++i) x[i] += a;
-}
-
 KDSEL_HOT void ScaledCopy(float* y, const float* x, float s, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] = s * x[i];
 }
@@ -121,6 +117,62 @@ KDSEL_HOT float ConvGradTap(const float* gy, const float* x, float w, float* gx,
     gx[t] += gy[t] * w;
   }
   return wgrad_acc;
+}
+
+// Conv1d forward over zero-padded rows: one scalar accumulator per
+// output, four output positions at a time, each summing w*x with ci
+// outer and k inner and adding the bias last (the tap-axpy order).
+KDSEL_HOT void Conv1dForward(const float* x, const float* w,
+                             const float* bias, float* y, float* pad,
+                             size_t c_in, size_t c_out, size_t k, size_t l,
+                             size_t b0, size_t b1) {
+  const size_t left = (k - 1) / 2;
+  const size_t stride = l + k - 1;
+  std::fill(pad, pad + c_in * stride, 0.0f);
+  for (size_t b = b0; b < b1; ++b) {
+    const float* xb = x + b * c_in * l;
+    for (size_t ci = 0; ci < c_in; ++ci) {
+      std::copy(xb + ci * l, xb + (ci + 1) * l, pad + ci * stride + left);
+    }
+    float* yb = y + b * c_out * l;
+    for (size_t co = 0; co < c_out; ++co) {
+      const float* wco = w + co * c_in * k;
+      float* yrow = yb + co * l;
+      size_t t = 0;
+      for (; t + 4 <= l; t += 4) {
+        float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
+        for (size_t ci = 0; ci < c_in; ++ci) {
+          const float* xr = pad + ci * stride + t;
+          for (size_t kk = 0; kk < k; ++kk) {
+            const float wv = wco[ci * k + kk];
+            a0 += wv * xr[kk];
+            a1 += wv * xr[kk + 1];
+            a2 += wv * xr[kk + 2];
+            a3 += wv * xr[kk + 3];
+          }
+        }
+        if (bias != nullptr) {
+          a0 += bias[co];
+          a1 += bias[co];
+          a2 += bias[co];
+          a3 += bias[co];
+        }
+        yrow[t] = a0;
+        yrow[t + 1] = a1;
+        yrow[t + 2] = a2;
+        yrow[t + 3] = a3;
+      }
+      for (; t < l; ++t) {
+        float acc = 0.0f;
+        for (size_t ci = 0; ci < c_in; ++ci) {
+          const float* xr = pad + ci * stride + t;
+          for (size_t kk = 0; kk < k; ++kk) acc += wco[ci * k + kk] * xr[kk];
+        }
+        if (bias != nullptr) acc += bias[co];
+        yrow[t] = acc;
+      }
+    }
+  }
 }
 
 KDSEL_HOT void SoftmaxRow(const float* x, float* y, size_t m) {
@@ -160,13 +212,13 @@ const Ops kOps = {
     Add,
     Axpy,
     Scale,
-    AddScalar,
     ScaledCopy,
     ScaledDiff,
     Dot,
     Sum,
     SquaredL2,
     ConvGradTap,
+    Conv1dForward,
     SoftmaxRow,
     AdamUpdate,
     I8Quantize,

@@ -18,14 +18,17 @@ Linear::Linear(size_t in_features, size_t out_features, Rng& rng)
 
 Tensor Linear::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() == 2 && input.dim(1) == in_features_);
-  if (!training) {
+  // Only a training forward is followed by Backward (see Conv1d).
+  if (training) {
+    cached_input_ = input;
+  } else {
+    cached_input_ = Tensor();
     if (calibrating_) {
       act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
     } else if (quantized_) {
       return ForwardInt8(input);
     }
   }
-  cached_input_ = input;
   Tensor out = MatMulTransposedB(input, weight_.value);  // [B, out]
   const kernels::Ops& ops = kernels::Dispatch();
   const size_t b = out.dim(0);
@@ -87,6 +90,7 @@ void Linear::ClearQuantization() {
 }
 
 Tensor Linear::Backward(const Tensor& grad_output) {
+  KDSEL_CHECK(!cached_input_.empty());  // needs a training forward
   KDSEL_CHECK(grad_output.rank() == 2 &&
               grad_output.dim(1) == out_features_);
   // dW = dY^T X ; db = sum rows dY ; dX = dY W
@@ -101,10 +105,14 @@ Tensor Linear::Backward(const Tensor& grad_output) {
   return MatMul(grad_output, weight_.value);  // [B, in]
 }
 
-Tensor ReLU::Forward(const Tensor& input, bool /*training*/) {
+Tensor ReLU::Forward(const Tensor& input, bool training) {
   Tensor out = input;
   for (float& v : out.mutable_data()) v = v > 0 ? v : 0.0f;
-  cached_output_ = out;
+  if (training) {
+    cached_output_ = out;
+  } else {
+    cached_output_ = Tensor();
+  }
   return out;
 }
 

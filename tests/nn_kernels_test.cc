@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -137,11 +140,6 @@ TEST_P(KernelEquivalenceTest, Elementwise) {
     ops().scale(y_got.data(), alpha, n);
     EXPECT_EQ(y_ref, y_got) << Label("scale");
 
-    y_got = y_ref;
-    ref().add_scalar(y_ref.data(), alpha, n);
-    ops().add_scalar(y_got.data(), alpha, n);
-    EXPECT_EQ(y_ref, y_got) << Label("add_scalar");
-
     ref().scaled_copy(y_ref.data(), x.data(), alpha, n);
     ops().scaled_copy(y_got.data(), x.data(), alpha, n);
     EXPECT_EQ(y_ref, y_got) << Label("scaled_copy");
@@ -244,6 +242,160 @@ TEST_P(KernelEquivalenceTest, ZeroTimesNanIsNan) {
   const std::vector<float> x = {nan, 3.0f};
   ops().axpy(y.data(), 0.0f, x.data(), 2);
   EXPECT_TRUE(std::isnan(y[0])) << Label("axpy NaN");
+}
+
+// ------------------------------------------------------------- conv1d
+//
+// conv1d_forward must equal, bit for bit, the tap-axpy loop it replaced:
+// one axpy per (c_out, c_in, tap) over the tap's valid output range,
+// built from the SAME variant's axpy, then a per-element bias add.
+
+std::vector<float> TapAxpyConv1d(const Ops& ops, const std::vector<float>& x,
+                                 const std::vector<float>& w,
+                                 const float* bias, size_t batch, size_t c_in,
+                                 size_t c_out, size_t k, size_t l) {
+  std::vector<float> y(batch * c_out * l, 0.0f);
+  const ptrdiff_t pad = static_cast<ptrdiff_t>((k - 1) / 2);
+  const ptrdiff_t len = static_cast<ptrdiff_t>(l);
+  for (size_t b = 0; b < batch; ++b) {
+    for (size_t co = 0; co < c_out; ++co) {
+      float* yrow = y.data() + (b * c_out + co) * l;
+      for (size_t ci = 0; ci < c_in; ++ci) {
+        const float* xrow = x.data() + (b * c_in + ci) * l;
+        for (size_t kk = 0; kk < k; ++kk) {
+          const ptrdiff_t shift = static_cast<ptrdiff_t>(kk) - pad;
+          const ptrdiff_t t_lo = std::clamp<ptrdiff_t>(-shift, 0, len);
+          const ptrdiff_t t_hi = std::clamp<ptrdiff_t>(len - shift, t_lo, len);
+          if (t_hi == t_lo) continue;
+          ops.axpy(yrow + t_lo, w[(co * c_in + ci) * k + kk],
+                   xrow + t_lo + shift, static_cast<size_t>(t_hi - t_lo));
+        }
+      }
+      if (bias != nullptr) {
+        for (size_t t = 0; t < l; ++t) yrow[t] += bias[co];
+      }
+    }
+  }
+  return y;
+}
+
+// Runs conv1d_forward over [0, batch) with NaN-poisoned scratch and
+// output, so a kernel that reads stale pad columns or skips an output
+// element cannot pass.
+std::vector<float> KernelConv1d(const Ops& ops, const std::vector<float>& x,
+                                const std::vector<float>& w, const float* bias,
+                                size_t batch, size_t c_in, size_t c_out,
+                                size_t k, size_t l, size_t b0, size_t b1,
+                                std::vector<float> y = {}) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  if (y.empty()) y.assign(batch * c_out * l, nan);
+  std::vector<float> pad(c_in * (l + k - 1 + kConv1dPadSlack), nan);
+  ops.conv1d_forward(x.data(), w.data(), bias, y.data(), pad.data(), c_in,
+                     c_out, k, l, b0, b1);
+  return y;
+}
+
+// Index of the first element whose bits differ, or -1.
+ptrdiff_t FirstBitMismatch(const std::vector<float>& a,
+                           const std::vector<float>& b) {
+  if (a.size() != b.size()) return 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) {
+      return static_cast<ptrdiff_t>(i);
+    }
+  }
+  return -1;
+}
+
+TEST_P(KernelEquivalenceTest, Conv1dForwardMatchesTapAxpyBitwise) {
+  Rng rng(110);
+  constexpr size_t kBatch = 2;  // the second item reuses the pad scratch
+  for (size_t c_in : {1, 3, 16, 32}) {
+    for (size_t c_out : {1, 5, 8, 16, 32}) {
+      for (size_t k : {1, 2, 3, 4, 5, 7}) {
+        for (size_t l : {size_t{1}, k - 1, size_t{7}, size_t{31},
+                         size_t{32}, size_t{64}, size_t{65}, size_t{100}}) {
+          const auto x = RandomVec(kBatch * c_in * l, rng, -2.0, 2.0);
+          const auto w = RandomVec(c_out * c_in * k, rng);
+          const auto b = RandomVec(c_out, rng);
+          for (const float* bias : {static_cast<const float*>(nullptr),
+                                    b.data()}) {
+            const auto want =
+                TapAxpyConv1d(ops(), x, w, bias, kBatch, c_in, c_out, k, l);
+            const auto got = KernelConv1d(ops(), x, w, bias, kBatch, c_in,
+                                          c_out, k, l, 0, kBatch);
+            const ptrdiff_t bad = FirstBitMismatch(want, got);
+            ASSERT_EQ(bad, -1)
+                << Label("conv1d_forward") << " c_in=" << c_in
+                << " c_out=" << c_out << " k=" << k << " l=" << l
+                << " bias=" << (bias != nullptr) << " want="
+                << (bad >= 0 ? want[static_cast<size_t>(bad)] : 0.0f)
+                << " got=" << (bad >= 0 ? got[static_cast<size_t>(bad)] : 0.0f);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelEquivalenceTest, Conv1dForwardBatchRangeWritesOnlyItsItems) {
+  // Per-chunk calls over [b0, b1) must compose to the full-range result
+  // and leave other items' outputs untouched.
+  Rng rng(111);
+  const size_t batch = 5, c_in = 3, c_out = 6, k = 5, l = 37;
+  const auto x = RandomVec(batch * c_in * l, rng);
+  const auto w = RandomVec(c_out * c_in * k, rng);
+  const auto b = RandomVec(c_out, rng);
+  const auto full =
+      KernelConv1d(ops(), x, w, b.data(), batch, c_in, c_out, k, l, 0, batch);
+  std::vector<float> split(batch * c_out * l, -3.0f);
+  split = KernelConv1d(ops(), x, w, b.data(), batch, c_in, c_out, k, l, 1, 3,
+                       split);
+  for (size_t i = 0; i < split.size(); ++i) {
+    const size_t item = i / (c_out * l);
+    if (item < 1 || item >= 3) {
+      ASSERT_EQ(split[i], -3.0f) << Label("conv1d_forward range") << " " << i;
+    }
+  }
+  split = KernelConv1d(ops(), x, w, b.data(), batch, c_in, c_out, k, l, 0, 1,
+                       split);
+  split = KernelConv1d(ops(), x, w, b.data(), batch, c_in, c_out, k, l, 3,
+                       batch, split);
+  EXPECT_EQ(FirstBitMismatch(full, split), -1)
+      << Label("conv1d_forward chunks");
+}
+
+TEST_P(KernelEquivalenceTest, Conv1dForwardPropagatesNanLikeReference) {
+  // A NaN input reaches exactly the outputs whose taps read it, with the
+  // same bits as the reference; the zero padding never manufactures or
+  // hides one (weights are finite, per the kernel contract).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(112);
+  for (size_t k : {1, 3, 4, 7}) {
+    for (size_t l : {size_t{2}, size_t{9}, size_t{40}}) {
+      const size_t batch = 2, c_in = 3, c_out = 5;
+      auto x = RandomVec(batch * c_in * l, rng);
+      x[0] = nan;                                // first item, left edge
+      x[(batch * c_in - 1) * l + l - 1] = nan;   // last item, right edge
+      x[(1 * c_in + 1) * l + l / 2] = nan;       // interior
+      const auto w = RandomVec(c_out * c_in * k, rng);
+      const auto b = RandomVec(c_out, rng);
+      const auto want =
+          TapAxpyConv1d(ops(), x, w, b.data(), batch, c_in, c_out, k, l);
+      const auto got = KernelConv1d(ops(), x, w, b.data(), batch, c_in, c_out,
+                                    k, l, 0, batch);
+      size_t nans = 0;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(std::isnan(want[i]), std::isnan(got[i]))
+            << Label("conv1d_forward NaN") << " k=" << k << " l=" << l
+            << " i=" << i;
+        nans += std::isnan(want[i]) ? 1 : 0;
+      }
+      EXPECT_GT(nans, 0u);
+      EXPECT_EQ(FirstBitMismatch(want, got), -1)
+          << Label("conv1d_forward NaN bits") << " k=" << k << " l=" << l;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- int8

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "nn/conv.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/module.h"
@@ -255,6 +256,33 @@ TEST(ModuleTest, ParameterCount) {
   Rng rng(15);
   Linear layer(10, 5, rng);
   EXPECT_EQ(ParameterCount(layer), 10u * 5u + 5u);
+}
+
+// Inference forwards keep no activation cache, so a Backward that
+// follows one must fail loudly rather than use stale activations from
+// an earlier training forward.
+TEST(InferenceCacheDeathTest, BackwardAfterInferenceForwardAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Rng rng(16);
+  Conv1d conv(2, 3, 3, rng);
+  Linear linear(4, 2, rng);
+  ReLU relu;
+  Tensor cx({2, 2, 8}), lx({2, 4});
+  for (float& v : cx.mutable_data()) v = static_cast<float>(rng.Normal());
+  for (float& v : lx.mutable_data()) v = static_cast<float>(rng.Normal());
+
+  // A training forward makes Backward legal...
+  (void)conv.Backward(conv.Forward(cx, /*training=*/true));
+  (void)linear.Backward(linear.Forward(lx, /*training=*/true));
+  (void)relu.Backward(relu.Forward(lx, /*training=*/true));
+
+  // ...and a later inference forward drops the cache again.
+  const Tensor cy = conv.Forward(cx, /*training=*/false);
+  const Tensor ly = linear.Forward(lx, /*training=*/false);
+  const Tensor ry = relu.Forward(lx, /*training=*/false);
+  EXPECT_DEATH((void)conv.Backward(cy), "KDSEL_CHECK failed");
+  EXPECT_DEATH((void)linear.Backward(ly), "KDSEL_CHECK failed");
+  EXPECT_DEATH((void)relu.Backward(ry), "KDSEL_CHECK failed");
 }
 
 }  // namespace

@@ -2938,7 +2938,10 @@ void PrintSarif(const std::vector<Diagnostic>& diagnostics) {
 
 bool HasSourceExtension(const fs::path& p) {
   const std::string ext = p.extension().string();
-  return ext == ".cc" || ext == ".h" || ext == ".cpp" || ext == ".hpp";
+  // .inc bodies (the SIMD kernel variants) are compiled code too: their
+  // KDSEL_HOT kernels must reach the alloc-in-hot-path walk.
+  return ext == ".cc" || ext == ".h" || ext == ".cpp" || ext == ".hpp" ||
+         ext == ".inc";
 }
 
 std::string DisplayPath(const fs::path& path, const fs::path& root) {
