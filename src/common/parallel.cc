@@ -249,6 +249,9 @@ namespace {
 std::mutex g_global_pool_mu;
 std::unique_ptr<ThreadPool> g_global_pool KDSEL_GUARDED_BY(g_global_pool_mu);
 
+KDSEL_ALLOC_OK(
+    "builds the process-wide pool once, on first use; every later call "
+    "returns the existing pool without allocating")
 ThreadPool& GlobalPoolLocked() {
   std::lock_guard<std::mutex> lock(g_global_pool_mu);
   if (!g_global_pool) {

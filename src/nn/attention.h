@@ -54,16 +54,19 @@ class MultiHeadSelfAttention : public Module, public Quantizable {
   bool IsQuantized() const override { return quantized_; }
 
  private:
-  /// Shared fp32 attention core: fills cached_attn_ / cached_concat_
-  /// from cached_q_/k_/v_ (both the fp32 and int8 paths run this).
-  void AttentionCore(size_t B, size_t T);
-  Tensor ForwardInt8(const Tensor& input);
+  /// Shared fp32 attention core (both the fp32 and int8 paths run it):
+  /// softmaxed scores [B, H, T, T] into *attn and the pre-Wo head
+  /// concat [B, T, D] into *concat, from q/k/v [B, T, D]. Writes no
+  /// member, so inference keeps its q/k/v/attn/concat in locals.
+  void AttentionCore(const Tensor& q, const Tensor& k, const Tensor& v,
+                     Tensor* attn, Tensor* concat) const;
+  Tensor ForwardInt8(const Tensor& input) const;
 
   size_t dim_;
   size_t num_heads_;
   size_t head_dim_;
   Parameter wq_, wk_, wv_, wo_;  // each [D, D]
-  // Forward caches.
+  // Training-forward caches for Backward.
   Tensor cached_input_;                 // [B, T, D]
   Tensor cached_q_, cached_k_, cached_v_;  // [B, T, D]
   Tensor cached_attn_;                  // [B, H, T, T] softmaxed
@@ -104,7 +107,6 @@ class TransformerEncoderBlock : public Module {
   Gelu gelu_;
   Linear ffn2_;
   Dropout drop2_;
-  Shape cached_shape_;
 };
 
 }  // namespace kdsel::nn

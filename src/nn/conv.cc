@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -46,17 +47,15 @@ std::vector<Parameter*> Conv1d::Parameters() {
 Tensor Conv1d::Forward(const Tensor& input, bool training) {
   KDSEL_SPAN("nn.conv1d.forward");
   KDSEL_CHECK(input.rank() == 3 && input.dim(1) == in_channels_);
-  // Only a training forward is followed by Backward; inference drops
-  // the cache instead of copying the whole input on every call.
+  // Only a training forward is followed by Backward, so only it caches
+  // the input; an inference forward writes no member (the calibration
+  // absmax aside), which lets concurrent forwards share one module.
   if (training) {
     cached_input_ = input;
-  } else {
-    cached_input_ = Tensor();
-    if (calibrating_) {
-      act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
-    } else if (quantized_) {
-      return ForwardInt8(input);
-    }
+  } else if (calibrating_) {
+    act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
+  } else if (quantized_) {
+    return ForwardInt8(input);
   }
   const size_t B = input.dim(0), L = input.dim(2);
   const size_t K = kernel_size_;
@@ -79,7 +78,7 @@ Tensor Conv1d::Forward(const Tensor& input, bool training) {
   return out;
 }
 
-Tensor Conv1d::ForwardInt8(const Tensor& input) {
+Tensor Conv1d::ForwardInt8(const Tensor& input) const {
   KDSEL_SPAN("nn.conv1d.forward_int8");
   const size_t B = input.dim(0), L = input.dim(2);
   const size_t K = kernel_size_;
@@ -175,15 +174,17 @@ void Conv1d::ClearQuantization() {
 
 Tensor Conv1d::Backward(const Tensor& grad_output) {
   KDSEL_SPAN("nn.conv1d.backward");
-  // An inference forward leaves no cache: Backward needs a training one.
-  KDSEL_CHECK(!cached_input_.empty());
-  const size_t B = cached_input_.dim(0), L = cached_input_.dim(2);
+  // Backward consumes the cache a training forward left, so it runs at
+  // most once per training forward and never after an inference one.
+  const Tensor input = std::exchange(cached_input_, Tensor());
+  KDSEL_CHECK(!input.empty());
+  const size_t B = input.dim(0), L = input.dim(2);
   const size_t K = kernel_size_;
   KDSEL_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == B &&
               grad_output.dim(1) == out_channels_ && grad_output.dim(2) == L);
   const ptrdiff_t pad = static_cast<ptrdiff_t>((K - 1) / 2);
   Tensor grad_input({B, in_channels_, L});
-  const float* x = cached_input_.raw();
+  const float* x = input.raw();
   const float* gy = grad_output.raw();
   const float* w = weight_.value.raw();
   float* gx = grad_input.raw();
@@ -257,60 +258,67 @@ BatchNorm1d::BatchNorm1d(size_t num_features, double momentum, double eps)
 
 Tensor BatchNorm1d::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() == 2 || input.rank() == 3);
-  const bool has_length = input.rank() == 3;
-  const size_t B = input.dim(0);
-  const size_t C = has_length ? input.dim(1) : input.dim(1);
+  const size_t B = input.dim(0), C = input.dim(1);
   KDSEL_CHECK(C == num_features_);
-  const size_t L = has_length ? input.dim(2) : 1;
+  const size_t L = input.rank() == 3 ? input.dim(2) : 1;
   const size_t n = B * L;
-  cached_shape_ = input.shape();
+  // y = gamma * xhat + beta on both paths, with xhat rounded to float
+  // first.
+  Tensor out;
+  out.Resize(input.shape());  // Every element written below.
+
+  if (!training) {
+    // Inference reads the running statistics and writes no member.
+    for (size_t c = 0; c < C; ++c) {
+      const double m = running_mean_[c];
+      const double is =
+          1.0 / std::sqrt(static_cast<double>(running_var_[c]) + eps_);
+      const float g = gamma_.value[c], bb = beta_.value[c];
+      for (size_t b = 0; b < B; ++b) {
+        const float* row = input.raw() + (b * C + c) * L;
+        float* o = out.raw() + (b * C + c) * L;
+        for (size_t t = 0; t < L; ++t) {
+          o[t] = g * static_cast<float>((row[t] - m) * is) + bb;
+        }
+      }
+    }
+    return out;
+  }
 
   mean_scratch_.assign(C, 0.0);
   var_scratch_.assign(C, 0.0);
   std::vector<double>& mean = mean_scratch_;
   std::vector<double>& var = var_scratch_;
-  if (training) {
-    for (size_t b = 0; b < B; ++b) {
-      for (size_t c = 0; c < C; ++c) {
-        const float* row = input.raw() + (b * C + c) * L;
-        double acc = 0.0;
-        for (size_t t = 0; t < L; ++t) acc += row[t];
-        mean[c] += acc;
-      }
-    }
-    for (size_t c = 0; c < C; ++c) mean[c] /= static_cast<double>(n);
-    for (size_t b = 0; b < B; ++b) {
-      for (size_t c = 0; c < C; ++c) {
-        const float* row = input.raw() + (b * C + c) * L;
-        double acc = 0.0;
-        for (size_t t = 0; t < L; ++t) {
-          double d = row[t] - mean[c];
-          acc += d * d;
-        }
-        var[c] += acc;
-      }
-    }
-    for (size_t c = 0; c < C; ++c) var[c] /= static_cast<double>(n);
+  for (size_t b = 0; b < B; ++b) {
     for (size_t c = 0; c < C; ++c) {
-      running_mean_[c] = static_cast<float>(
-          (1 - momentum_) * running_mean_[c] + momentum_ * mean[c]);
-      running_var_[c] = static_cast<float>(
-          (1 - momentum_) * running_var_[c] + momentum_ * var[c]);
-    }
-  } else {
-    for (size_t c = 0; c < C; ++c) {
-      mean[c] = running_mean_[c];
-      var[c] = running_var_[c];
+      const float* row = input.raw() + (b * C + c) * L;
+      double acc = 0.0;
+      for (size_t t = 0; t < L; ++t) acc += row[t];
+      mean[c] += acc;
     }
   }
-
+  for (size_t c = 0; c < C; ++c) mean[c] /= static_cast<double>(n);
+  for (size_t b = 0; b < B; ++b) {
+    for (size_t c = 0; c < C; ++c) {
+      const float* row = input.raw() + (b * C + c) * L;
+      double acc = 0.0;
+      for (size_t t = 0; t < L; ++t) {
+        double d = row[t] - mean[c];
+        acc += d * d;
+      }
+      var[c] += acc;
+    }
+  }
+  for (size_t c = 0; c < C; ++c) var[c] /= static_cast<double>(n);
   cached_inv_std_.assign(C, 0.0);
   for (size_t c = 0; c < C; ++c) {
+    running_mean_[c] = static_cast<float>(
+        (1 - momentum_) * running_mean_[c] + momentum_ * mean[c]);
+    running_var_[c] = static_cast<float>(
+        (1 - momentum_) * running_var_[c] + momentum_ * var[c]);
     cached_inv_std_[c] = 1.0 / std::sqrt(var[c] + eps_);
   }
 
-  Tensor out;
-  out.Resize(input.shape());  // Every element written below.
   cached_xhat_.Resize(input.shape());
   for (size_t b = 0; b < B; ++b) {
     for (size_t c = 0; c < C; ++c) {
@@ -325,17 +333,14 @@ Tensor BatchNorm1d::Forward(const Tensor& input, bool training) {
       }
     }
   }
-  if (!training) cached_xhat_ = Tensor();  // No backward at inference.
   return out;
 }
 
 Tensor BatchNorm1d::Backward(const Tensor& grad_output) {
-  KDSEL_CHECK(!cached_xhat_.empty());
-  KDSEL_CHECK(grad_output.shape() == cached_shape_);
-  const bool has_length = cached_shape_.size() == 3;
-  const size_t B = cached_shape_[0];
-  const size_t C = cached_shape_[1];
-  const size_t L = has_length ? cached_shape_[2] : 1;
+  const Tensor xhat = std::exchange(cached_xhat_, Tensor());
+  KDSEL_CHECK(!xhat.empty() && SameShape(grad_output, xhat));
+  const size_t B = xhat.dim(0), C = xhat.dim(1);
+  const size_t L = xhat.rank() == 3 ? xhat.dim(2) : 1;
   const double n = static_cast<double>(B * L);
 
   // Standard BN backward:
@@ -348,7 +353,7 @@ Tensor BatchNorm1d::Backward(const Tensor& grad_output) {
   for (size_t b = 0; b < B; ++b) {
     for (size_t c = 0; c < C; ++c) {
       const float* gy = grad_output.raw() + (b * C + c) * L;
-      const float* xh = cached_xhat_.raw() + (b * C + c) * L;
+      const float* xh = xhat.raw() + (b * C + c) * L;
       double a = 0.0, d = 0.0;
       for (size_t t = 0; t < L; ++t) {
         a += gy[t];
@@ -364,11 +369,11 @@ Tensor BatchNorm1d::Backward(const Tensor& grad_output) {
   }
 
   Tensor grad_input;
-  grad_input.Resize(cached_shape_);  // Every element written below.
+  grad_input.Resize(xhat.shape());  // Every element written below.
   for (size_t b = 0; b < B; ++b) {
     for (size_t c = 0; c < C; ++c) {
       const float* gy = grad_output.raw() + (b * C + c) * L;
-      const float* xh = cached_xhat_.raw() + (b * C + c) * L;
+      const float* xh = xhat.raw() + (b * C + c) * L;
       float* gx = grad_input.raw() + (b * C + c) * L;
       const double g = gamma_.value[c];
       const double is = cached_inv_std_[c];
@@ -382,9 +387,9 @@ Tensor BatchNorm1d::Backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor GlobalAvgPool1d::Forward(const Tensor& input, bool /*training*/) {
+Tensor GlobalAvgPool1d::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() == 3);
-  cached_shape_ = input.shape();
+  if (training) cached_shape_ = input.shape();
   const size_t B = input.dim(0), C = input.dim(1), L = input.dim(2);
   Tensor out({B, C});
   const float inv = 1.0f / static_cast<float>(L);
@@ -416,17 +421,20 @@ Tensor GlobalAvgPool1d::Backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor MaxPool1dSame::Forward(const Tensor& input, bool /*training*/) {
+Tensor MaxPool1dSame::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() == 3);
-  cached_input_ = input;
   const size_t B = input.dim(0), C = input.dim(1), L = input.dim(2);
   Tensor out(input.shape());
-  argmax_.assign(B * C * L, 0);
+  // Only a training forward records the argmax routing for Backward.
+  if (training) {
+    cached_shape_ = input.shape();
+    argmax_.assign(B * C * L, 0);
+  }
   for (size_t b = 0; b < B; ++b) {
     for (size_t c = 0; c < C; ++c) {
       const float* row = input.raw() + (b * C + c) * L;
       float* orow = out.raw() + (b * C + c) * L;
-      int32_t* arow = argmax_.data() + (b * C + c) * L;
+      int32_t* arow = training ? argmax_.data() + (b * C + c) * L : nullptr;
       for (size_t t = 0; t < L; ++t) {
         size_t lo = t > 0 ? t - 1 : 0;
         size_t hi = std::min(L - 1, t + 1);
@@ -435,7 +443,7 @@ Tensor MaxPool1dSame::Forward(const Tensor& input, bool /*training*/) {
           if (row[u] > row[best]) best = u;
         }
         orow[t] = row[best];
-        arow[t] = static_cast<int32_t>(best);
+        if (arow != nullptr) arow[t] = static_cast<int32_t>(best);
       }
     }
   }
@@ -443,10 +451,10 @@ Tensor MaxPool1dSame::Forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor MaxPool1dSame::Backward(const Tensor& grad_output) {
-  KDSEL_CHECK(SameShape(grad_output, cached_input_));
-  const size_t B = cached_input_.dim(0), C = cached_input_.dim(1),
-               L = cached_input_.dim(2);
-  Tensor grad_input(cached_input_.shape());
+  const Shape shape = std::exchange(cached_shape_, Shape());
+  KDSEL_CHECK(grad_output.shape() == shape);
+  const size_t B = shape[0], C = shape[1], L = shape[2];
+  Tensor grad_input(shape);
   for (size_t b = 0; b < B; ++b) {
     for (size_t c = 0; c < C; ++c) {
       const float* gy = grad_output.raw() + (b * C + c) * L;

@@ -39,7 +39,7 @@ class Conv1d : public Module, public Quantizable {
   size_t kernel_size() const { return kernel_size_; }
 
  private:
-  Tensor ForwardInt8(const Tensor& input);
+  Tensor ForwardInt8(const Tensor& input) const;
 
   size_t in_channels_;
   size_t out_channels_;
@@ -86,12 +86,11 @@ class BatchNorm1d : public Module {
   Parameter beta_;
   Tensor running_mean_;
   Tensor running_var_;
-  // Forward cache for backward.
+  // Training-forward cache for Backward.
   Tensor cached_xhat_;
   std::vector<double> cached_inv_std_;
-  Shape cached_shape_;
-  // Reused per-call stat scratch (capacity persists across batches so
-  // steady-state training stays allocation-free).
+  // Reused per-call training scratch (capacity persists across batches
+  // so steady-state training stays allocation-free).
   std::vector<double> mean_scratch_, var_scratch_;
   std::vector<double> sum_dy_scratch_, sum_dy_xhat_scratch_;
 };
@@ -114,7 +113,7 @@ class MaxPool1dSame : public Module {
   Tensor Backward(const Tensor& grad_output) override;
 
  private:
-  Tensor cached_input_;
+  Shape cached_shape_;
   std::vector<int32_t> argmax_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "nn/kernels/kernels.h"
 #include "nn/workspace.h"
@@ -21,13 +22,10 @@ Tensor Linear::Forward(const Tensor& input, bool training) {
   // Only a training forward is followed by Backward (see Conv1d).
   if (training) {
     cached_input_ = input;
-  } else {
-    cached_input_ = Tensor();
-    if (calibrating_) {
-      act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
-    } else if (quantized_) {
-      return ForwardInt8(input);
-    }
+  } else if (calibrating_) {
+    act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
+  } else if (quantized_) {
+    return ForwardInt8(input);
   }
   Tensor out = MatMulTransposedB(input, weight_.value);  // [B, out]
   const kernels::Ops& ops = kernels::Dispatch();
@@ -38,7 +36,7 @@ Tensor Linear::Forward(const Tensor& input, bool training) {
   return out;
 }
 
-Tensor Linear::ForwardInt8(const Tensor& input) {
+Tensor Linear::ForwardInt8(const Tensor& input) const {
   const kernels::Ops& ops = kernels::Dispatch();
   const size_t b = input.dim(0);
   // Pool-backed int8 scratch for the quantized activations (the pool
@@ -90,11 +88,12 @@ void Linear::ClearQuantization() {
 }
 
 Tensor Linear::Backward(const Tensor& grad_output) {
-  KDSEL_CHECK(!cached_input_.empty());  // needs a training forward
+  const Tensor input = std::exchange(cached_input_, Tensor());
+  KDSEL_CHECK(!input.empty());  // needs a training forward
   KDSEL_CHECK(grad_output.rank() == 2 &&
               grad_output.dim(1) == out_features_);
   // dW = dY^T X ; db = sum rows dY ; dX = dY W
-  Tensor dw = MatMulTransposedA(grad_output, cached_input_);  // [out, in]
+  Tensor dw = MatMulTransposedA(grad_output, input);  // [out, in]
   weight_.grad.AddInPlace(dw);
   const kernels::Ops& ops = kernels::Dispatch();
   const size_t b = grad_output.dim(0);
@@ -108,18 +107,15 @@ Tensor Linear::Backward(const Tensor& grad_output) {
 Tensor ReLU::Forward(const Tensor& input, bool training) {
   Tensor out = input;
   for (float& v : out.mutable_data()) v = v > 0 ? v : 0.0f;
-  if (training) {
-    cached_output_ = out;
-  } else {
-    cached_output_ = Tensor();
-  }
+  if (training) cached_output_ = out;
   return out;
 }
 
 Tensor ReLU::Backward(const Tensor& grad_output) {
-  KDSEL_CHECK(SameShape(grad_output, cached_output_));
+  const Tensor output = std::exchange(cached_output_, Tensor());
+  KDSEL_CHECK(SameShape(grad_output, output));
   Tensor g = grad_output;
-  const float* y = cached_output_.raw();
+  const float* y = output.raw();
   float* gd = g.raw();
   for (size_t i = 0; i < g.size(); ++i) {
     if (y[i] <= 0) gd[i] = 0.0f;
@@ -131,8 +127,8 @@ namespace {
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 }
 
-Tensor Gelu::Forward(const Tensor& input, bool /*training*/) {
-  cached_input_ = input;
+Tensor Gelu::Forward(const Tensor& input, bool training) {
+  if (training) cached_input_ = input;
   Tensor out = input;
   for (float& v : out.mutable_data()) {
     float x = v;
@@ -143,9 +139,10 @@ Tensor Gelu::Forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Gelu::Backward(const Tensor& grad_output) {
-  KDSEL_CHECK(SameShape(grad_output, cached_input_));
+  const Tensor input = std::exchange(cached_input_, Tensor());
+  KDSEL_CHECK(SameShape(grad_output, input));
   Tensor g = grad_output;
-  const float* x = cached_input_.raw();
+  const float* x = input.raw();
   float* gd = g.raw();
   for (size_t i = 0; i < g.size(); ++i) {
     float xi = x[i];
@@ -164,8 +161,7 @@ Dropout::Dropout(double rate, Rng& rng) : rate_(rate), rng_(rng.Fork()) {
 }
 
 Tensor Dropout::Forward(const Tensor& input, bool training) {
-  last_training_ = training && rate_ > 0.0;
-  if (!last_training_) return input;
+  if (!training || rate_ == 0.0) return input;
   mask_ = Tensor(input.shape());
   const float keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
   float* m = mask_.raw();
@@ -179,10 +175,12 @@ Tensor Dropout::Forward(const Tensor& input, bool training) {
 }
 
 Tensor Dropout::Backward(const Tensor& grad_output) {
-  if (!last_training_) return grad_output;
-  KDSEL_CHECK(SameShape(grad_output, mask_));
+  // No mask: the paired forward was an identity (inference or rate 0).
+  const Tensor mask = std::exchange(mask_, Tensor());
+  if (mask.empty()) return grad_output;
+  KDSEL_CHECK(SameShape(grad_output, mask));
   Tensor g = grad_output;
-  const float* m = mask_.raw();
+  const float* m = mask.raw();
   float* gd = g.raw();
   for (size_t i = 0; i < g.size(); ++i) gd[i] *= m[i];
   return g;

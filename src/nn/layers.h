@@ -35,7 +35,7 @@ class Linear : public Module, public Quantizable {
   size_t out_features() const { return out_features_; }
 
  private:
-  Tensor ForwardInt8(const Tensor& input);
+  Tensor ForwardInt8(const Tensor& input) const;
 
   size_t in_features_;
   size_t out_features_;
@@ -84,7 +84,6 @@ class Dropout : public Module {
   double rate_;
   Rng rng_;
   Tensor mask_;
-  bool last_training_ = false;
 };
 
 }  // namespace kdsel::nn

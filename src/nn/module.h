@@ -27,11 +27,20 @@ struct Parameter {
 
 /// Base class for all NN layers/blocks.
 ///
-/// Contract: `Forward` consumes a batch and caches whatever `Backward`
-/// needs; `Backward` consumes dL/d(output) and returns dL/d(input),
-/// accumulating parameter gradients into `Parameter::grad` (so callers
-/// must zero gradients between steps, normally via the optimizer).
-/// A module's Backward must be called at most once per Forward.
+/// Contract: a training `Forward` (`training == true`) caches whatever
+/// `Backward` needs; `Backward` consumes dL/d(output) and returns
+/// dL/d(input), accumulating parameter gradients into `Parameter::grad`
+/// (so callers must zero gradients between steps, normally via the
+/// optimizer). Backward releases the cache it consumes, so it runs at
+/// most once per training Forward; a second call, or one after only an
+/// inference Forward, fails a KDSEL_CHECK.
+///
+/// An inference `Forward` (`training == false`) writes no module member,
+/// so any number of threads may run inference forwards on one module at
+/// once while nothing trains it. The only exception is int8 calibration
+/// (nn/quantize.h): between BeginQuantCalibration and
+/// EndQuantCalibration an inference forward records activation absmax,
+/// which TrainedSelector::QuantizeInt8 does on a private copy.
 class Module {
  public:
   virtual ~Module() = default;

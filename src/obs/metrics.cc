@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <thread>
 #include <utility>
 
 namespace kdsel::obs {
@@ -100,24 +101,27 @@ double Histogram::BucketLowerBound(size_t index) {
 
 void Histogram::Record(double value) {
   if (!(value >= 0.0)) value = 0.0;  // Also catches NaN.
-  const uint64_t seq = reset_seq_.load(std::memory_order_seq_cst);
-  // Count first, bucket second, both seq_cst: any bucket tick a reader
-  // observes has its count tick earlier in the single total order, so
-  // Summarize (buckets before count) can never see samples > count.
-  count_.fetch_add(1, std::memory_order_seq_cst);
-  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_seq_cst);
+  // Register as in flight, then re-check the generation (both seq_cst,
+  // mirroring Reset()'s bump-then-wait): either Reset() sees this record
+  // and waits for it, or this record sees the odd generation and backs
+  // off until the wipe is over. So no record straddles a wipe.
+  for (;;) {
+    in_flight_.fetch_add(1, std::memory_order_seq_cst);
+    if ((reset_seq_.load(std::memory_order_seq_cst) & 1) == 0) break;
+    in_flight_.fetch_sub(1, std::memory_order_seq_cst);
+    while (reset_seq_.load(std::memory_order_seq_cst) & 1) {
+      std::this_thread::yield();
+    }
+  }
+  // Range and sum first, then count, then bucket (all seq_cst): a reader
+  // that sees the bucket tick (Snapshot reads buckets first) also sees
+  // this sample's count, min and max.
   AtomicAdd(sum_, value);
   AtomicMin(min_, value);
   AtomicMax(max_, value);
-  if (reset_seq_.load(std::memory_order_seq_cst) != seq) {
-    // A Reset() ran while this sample was being published. Its wipe may
-    // have erased the count tick but kept the bucket tick (the wipes of
-    // the two locations are not atomic together); re-publishing the
-    // count tick restores count >= samples. If the original tick
-    // survived, this sample is counted once extra — documented, and
-    // harmless for stats.
-    count_.fetch_add(1, std::memory_order_seq_cst);
-  }
+  count_.fetch_add(1, std::memory_order_seq_cst);
+  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_seq_cst);
+  in_flight_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 Histogram::BucketSnapshot Histogram::Snapshot() const {
@@ -131,14 +135,10 @@ Histogram::BucketSnapshot Histogram::Snapshot() const {
       snapshot.counts[i] = buckets_[i].load(std::memory_order_seq_cst);
       snapshot.samples += snapshot.counts[i];
     }
-    // Count is read after every bucket; clamping covers the transient
-    // window where a record straddling a reset has published its bucket
-    // tick but not yet re-published its wiped count tick.
-    snapshot.count =
-        std::max(count_.load(std::memory_order_seq_cst), snapshot.samples);
-    snapshot.sum = sum_.load(std::memory_order_relaxed);
-    snapshot.min = min_.load(std::memory_order_relaxed);
-    snapshot.max = max_.load(std::memory_order_relaxed);
+    snapshot.count = count_.load(std::memory_order_seq_cst);
+    snapshot.sum = sum_.load(std::memory_order_seq_cst);
+    snapshot.min = min_.load(std::memory_order_seq_cst);
+    snapshot.max = max_.load(std::memory_order_seq_cst);
     if (reset_seq_.load(std::memory_order_seq_cst) != seq_before) {
       continue;  // A reset overlapped the snapshot; retry.
     }
@@ -172,7 +172,10 @@ Histogram::Summary Histogram::Summarize() const {
   if (snapshot.samples == 0) return s;
   s.min = snapshot.min;
   s.max = snapshot.max;
-  s.mean = snapshot.sum / static_cast<double>(snapshot.samples);
+  // The sum may already hold a sample whose bucket tick the snapshot
+  // missed; the true mean of the population lies in [min, max].
+  s.mean = std::clamp(snapshot.sum / static_cast<double>(snapshot.samples),
+                      s.min, s.max);
   s.p50 = PercentileFrom(snapshot, 0.50);
   s.p95 = PercentileFrom(snapshot, 0.95);
   s.p99 = PercentileFrom(snapshot, 0.99);
@@ -189,6 +192,10 @@ uint64_t Histogram::SampleCount() const { return Snapshot().samples; }
 void Histogram::Reset() {
   std::lock_guard<std::mutex> lock(reset_mu_);
   reset_seq_.fetch_add(1, std::memory_order_seq_cst);  // -> odd: wiping
+  // New records now back off; wait out the ones already publishing.
+  while (in_flight_.load(std::memory_order_seq_cst) != 0) {
+    std::this_thread::yield();
+  }
   count_.store(0, std::memory_order_seq_cst);
   for (auto& b : buckets_) b.store(0, std::memory_order_seq_cst);
   sum_.store(0.0, std::memory_order_seq_cst);

@@ -43,26 +43,27 @@ class Gauge {
 /// layer still records microseconds into it, but the buckets are
 /// unit-agnostic).
 ///
-/// Record() is wait-free (a few uncontended atomic RMWs per sample plus
-/// CAS loops for min/max), so hot paths never contend on a stats lock.
+/// Record() is lock-free against other records (a few uncontended
+/// atomic RMWs per sample plus CAS loops for min/max), so hot paths never
+/// contend on a stats lock; it only waits while a Reset() wipe runs.
 /// Buckets grow by 2^(1/4) per step, bounding the relative quantile
 /// error at ~19% — plenty for p50/p95/p99 dashboards.
 ///
 /// Reset() semantics vs concurrent Record()/Summarize():
-///   * Reset() bumps a seqlock generation (odd while the wipe is in
-///     progress); Summarize() retries until it reads a stable, even
-///     generation on both sides of its snapshot, so a summary is never
-///     computed from a half-wiped histogram (no mixing of pre- and
-///     post-reset buckets).
-///   * A Record() that straddles a Reset() publishes its count tick
-///     before its bucket tick (both seq_cst) and re-publishes the count
-///     tick when it detects a generation change, so the invariant
-///     `Summary::count >= Summary::samples` always holds; such a
-///     straddling sample may be dropped entirely or counted once extra
-///     in `count`, never under-counted. Summarize() additionally clamps
-///     `count` up to `samples` to cover the instant between a surviving
-///     bucket tick and its in-flight count re-publish.
-///   * In quiescence (no reset racing a record) `count == samples`.
+///   * Reset() makes a seqlock generation odd, waits until no Record()
+///     is in flight, wipes, then makes the generation even. A Record()
+///     registers as in flight before it checks the generation and backs
+///     off while it is odd, so no sample straddles a wipe: each lands
+///     wholly before or wholly after it.
+///   * Summarize() retries until it reads the same even generation on
+///     both sides of its snapshot, so a summary never mixes pre- and
+///     post-reset state.
+///   * Record() publishes sum, min and max, then count, then its bucket
+///     tick; Summarize() reads the buckets first. So a summary that
+///     sees a sample also sees its count and range: `count >= samples`,
+///     and `min <= max` whenever `samples > 0`. The mean is clamped to
+///     [min, max], since the sum may include a sample still publishing.
+///   * In quiescence `count == samples`.
 class Histogram {
  public:
   Histogram();
@@ -130,6 +131,8 @@ class Histogram {
   std::atomic<double> max_{0.0};
   // Seqlock generation: odd while a Reset() wipe is in progress.
   std::atomic<uint64_t> reset_seq_{0};
+  // Record() calls currently publishing; Reset() waits for zero.
+  std::atomic<uint64_t> in_flight_{0};
   std::mutex reset_mu_;  ///< Serializes concurrent Reset() calls.
 };
 

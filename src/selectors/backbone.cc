@@ -292,7 +292,6 @@ nn::Tensor TransformerBackbone::Forward(const nn::Tensor& input,
   KDSEL_CHECK(input.rank() == 2 && input.dim(1) == input_length_);
   const size_t B = input.dim(0);
   const size_t T = num_patches_, P = options_.patch_size, D = options_.dim;
-  cached_batch_ = {B};
   // [B, L] rows are already contiguous patches: view as [B*T, P].
   nn::Tensor patches = input.Reshaped({B * T, P});
   nn::Tensor x = patch_embed_.Forward(patches, training).Reshaped({B, T, D});
@@ -317,10 +316,9 @@ nn::Tensor TransformerBackbone::Forward(const nn::Tensor& input,
 }
 
 nn::Tensor TransformerBackbone::Backward(const nn::Tensor& grad_output) {
-  const size_t B = cached_batch_[0];
   const size_t T = num_patches_, D = options_.dim;
-  KDSEL_CHECK(grad_output.rank() == 2 && grad_output.dim(0) == B &&
-              grad_output.dim(1) == D);
+  KDSEL_CHECK(grad_output.rank() == 2 && grad_output.dim(1) == D);
+  const size_t B = grad_output.dim(0);
   // Un-pool.
   nn::Tensor g({B, T, D});
   const float inv_t = 1.0f / static_cast<float>(T);

@@ -192,7 +192,6 @@ class TransformerBackbone : public Backbone {
   nn::Parameter pos_embed_;  // [T, D]
   std::vector<std::unique_ptr<nn::TransformerEncoderBlock>> blocks_;
   nn::LayerNorm final_norm_;
-  std::vector<size_t> cached_batch_;
 };
 
 /// Canonical NN backbone names.

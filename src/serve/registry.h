@@ -21,12 +21,12 @@ namespace kdsel::serve {
 /// never blocked or invalidated; they finish on the version they
 /// started with and the next batch picks up the new one.
 ///
-/// Thread-safety contract: the canonical instance is only ever *read*
-/// (metadata and parameter tensors). It is never run through a forward
-/// pass — Forward caches activations inside the modules, so each server
-/// worker clones its snapshot (TrainedSelector::Clone) and predicts on
-/// the private clone. Snapshot `version` numbers let workers detect a
-/// swap and re-clone lazily.
+/// Thread-safety contract: the canonical instance is immutable once
+/// registered. Any number of threads may call Predict on one snapshot at
+/// once, because inference forwards write no module state (see
+/// nn::Module); server workers and stream re-scores all predict on it
+/// directly. A snapshot lives as long as some caller holds it: a swap
+/// frees the old version when its last in-flight batch finishes.
 class SelectorRegistry {
  public:
   /// `manager` names the on-disk selector store used by Load/Reload.

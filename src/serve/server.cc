@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <utility>
 
 #include "core/selection.h"
@@ -232,7 +233,6 @@ void InferenceServer::WorkerLoop() {
   // set is deterministic given the seed, so every worker detects
   // identically (and identically to the offline pipeline).
   auto models = tsad::BuildDefaultModelSet(options_.detector_seed);
-  std::map<std::string, CachedSelector> cache;
 
   for (;;) {
     Batch batch;
@@ -244,7 +244,7 @@ void InferenceServer::WorkerLoop() {
       batch = std::move(batch_queue_.front());
       batch_queue_.pop_front();
     }
-    ProcessBatch(std::move(batch), cache, models);
+    ProcessBatch(std::move(batch), models);
   }
 }
 
@@ -259,8 +259,7 @@ void InferenceServer::FailBatch(Batch& batch, const Status& status) {
 }
 
 void InferenceServer::ProcessBatch(
-    Batch batch, std::map<std::string, CachedSelector>& cache,
-    const std::vector<std::unique_ptr<tsad::Detector>>& models) {
+    Batch batch, const std::vector<std::unique_ptr<tsad::Detector>>& models) {
   const Clock::time_point dequeue_time = Clock::now();
 
   auto snapshot = registry_->GetOrLoad(batch.selector);
@@ -268,18 +267,9 @@ void InferenceServer::ProcessBatch(
     FailBatch(batch, snapshot.status());
     return;
   }
-  CachedSelector& cached = cache[batch.selector];
-  if (cached.selector == nullptr || cached.version != snapshot->version) {
-    // Hot-reload happened (or first contact): clone the new snapshot.
-    auto clone = snapshot->selector->Clone();
-    if (!clone.ok()) {
-      FailBatch(batch, clone.status());
-      return;
-    }
-    cached.version = snapshot->version;
-    cached.selector = std::move(clone).value();
-  }
-  const core::TrainedSelector& selector = *cached.selector;
+  // The whole batch predicts on the registry's shared snapshot, which
+  // `snapshot` keeps alive until the batch completes, across any reload.
+  const core::TrainedSelector& selector = *snapshot->selector;
   // Vote over the worker's model-set size, exactly like the offline
   // DetectWithSelection path (the selector picks among these models).
   const size_t num_classes = models.size();

@@ -6,7 +6,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -88,9 +87,11 @@ struct SelectResponse {
 /// selector input length, stride = length), so responses are
 /// byte-identical to core::DetectWithSelection.
 ///
-/// Each worker keeps a private clone of every selector version it serves
-/// (forward passes mutate module-internal caches) plus its own TSAD
-/// model set, so workers share no mutable state on the hot path.
+/// Every worker predicts on the registry's one shared snapshot of a
+/// selector: inference forwards write no module state, so concurrent
+/// batches need no private copies. A batch holds its snapshot until it
+/// completes, so a hot reload never disturbs it. Each worker owns its
+/// TSAD model set, so workers share no mutable state on the hot path.
 class InferenceServer {
  public:
   /// The registry must outlive the server.
@@ -161,16 +162,9 @@ class InferenceServer {
     Clock::time_point formed;  ///< Stamped when the batcher flushes it.
   };
 
-  /// A worker's private clone of one registry snapshot.
-  struct CachedSelector {
-    uint64_t version = 0;
-    std::unique_ptr<core::TrainedSelector> selector;
-  };
-
   void BatcherLoop();
   void WorkerLoop();
   void ProcessBatch(Batch batch,
-                    std::map<std::string, CachedSelector>& cache,
                     const std::vector<std::unique_ptr<tsad::Detector>>& models);
   void FailBatch(Batch& batch, const Status& status);
   void PushBatch(Batch batch);

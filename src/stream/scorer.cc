@@ -66,11 +66,6 @@ struct StreamScorer::SeriesState {
   const char* pending_reason = "initial";
 };
 
-struct StreamScorer::WorkerClone {
-  std::unique_ptr<core::TrainedSelector> selector;
-  uint64_t version = 0;
-};
-
 StreamScorer::StreamScorer(serve::SelectorRegistry* registry,
                            StreamOptions options)
     : registry_(registry), options_(std::move(options)) {
@@ -205,38 +200,25 @@ StatusOr<std::vector<StreamEvent>> StreamScorer::ProcessBatch(
     }
   });
 
-  // Phase B: re-score due series on per-chunk selector clones. The
-  // chunk->clone assignment depends only on (list size, grain), and all
-  // clones of one snapshot version share identical weights, so output is
-  // independent of the executing thread.
+  // Phase B: re-score due series in parallel chunks, all on the one
+  // registry snapshot (inference forwards write no module state). Each
+  // series' selection depends only on its own window, so output is
+  // independent of the chunking and the executing thread.
   rescore_.clear();
   for (SeriesState* state : touched_) {
     if (state->rescore_pending) rescore_.push_back(state);
   }
   if (!rescore_.empty()) {
-    const size_t grain = options_.rescore_grain;
-    const size_t chunks = ParallelChunkCount(rescore_.size(), grain);
-    if (clones_.size() < chunks) clones_.resize(chunks);
     results_.assign(rescore_.size(), StreamEvent{});
     statuses_.assign(rescore_.size(), Status::OK());
-    ParallelFor(rescore_.size(), grain, [&](size_t begin, size_t end) {
-      const size_t chunk = begin / grain;
-      WorkerClone& worker = clones_[chunk];
-      if (worker.selector == nullptr || worker.version != snapshot.version) {
-        auto cloned = snapshot.selector->Clone();
-        if (!cloned.ok()) {
-          for (size_t i = begin; i < end; ++i) statuses_[i] = cloned.status();
-          return;
-        }
-        worker.selector = std::move(cloned).value();
-        worker.version = snapshot.version;
-      }
-      for (size_t i = begin; i < end; ++i) {
-        statuses_[i] =
-            RescoreSeries(*rescore_[i], *worker.selector, &results_[i]);
-        results_[i].selector_version = snapshot.version;
-      }
-    });
+    ParallelFor(rescore_.size(), options_.rescore_grain,
+                [&](size_t begin, size_t end) {
+                  for (size_t i = begin; i < end; ++i) {
+                    statuses_[i] = RescoreSeries(
+                        *rescore_[i], *snapshot.selector, &results_[i]);
+                    results_[i].selector_version = snapshot.version;
+                  }
+                });
   }
 
   // Assembly: serial, in first-touch order; per series drift events

@@ -45,3 +45,14 @@ KDSEL_HOT void HotReserved(HotRing& r) {
 }
 
 }  // namespace kdsel::fixture
+
+// Explicit template arguments must not hide an allocating std:: call.
+namespace kdsel::fixture {
+
+KDSEL_HOT void HotMake(int n) {
+  auto buf = std::make_unique<float[]>(n);  // line 53: alloc-in-hot-path
+  auto box = std::make_unique<int>(n);      // line 54: alloc-in-hot-path
+  auto shared = std::make_shared<int>(n);   // line 55: alloc-in-hot-path
+}
+
+}  // namespace kdsel::fixture

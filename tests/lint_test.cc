@@ -206,18 +206,21 @@ TEST(LintTest, CleanFixtureIsClean) {
 // The combined fixture directory scan sees all fixture files at once,
 // so cross-file symbol collection (Status names, classes, the call
 // graph) must not bleed findings between fixtures. Diagnostics sort by
-// file: guarded_by (2), hot_alloc (3), lock_cycle_a (1), lock_cycle_b
+// file: guarded_by (2), hot_alloc (6), lock_cycle_a (1), lock_cycle_b
 // (1), net_clock (3), raw_socket (4), stream_ndjson (2), violations (9)
-// -- 25 total.
+// -- 28 total.
 TEST(LintTest, FixtureDirectoryScanMatchesPerFileResults) {
   const RunResult result =
       RunLint(RootArgs(std::string(KDSEL_SOURCE_DIR) + "/tests/lint_fixtures"));
   EXPECT_EQ(result.exit_code, 1);
   const std::vector<std::string> lines = SplitLines(result.stdout_text);
-  ASSERT_EQ(lines.size(), 25u) << result.stdout_text;
+  ASSERT_EQ(lines.size(), 28u) << result.stdout_text;
   const std::vector<std::pair<std::string, std::string>> expected = {
       {"guarded_by.cc", "guarded-by"},
       {"guarded_by.cc", "guarded-by"},
+      {"hot_alloc.cc", "alloc-in-hot-path"},
+      {"hot_alloc.cc", "alloc-in-hot-path"},
+      {"hot_alloc.cc", "alloc-in-hot-path"},
       {"hot_alloc.cc", "alloc-in-hot-path"},
       {"hot_alloc.cc", "alloc-in-hot-path"},
       {"hot_alloc.cc", "alloc-in-hot-path"},
@@ -311,7 +314,7 @@ TEST(LintTest, HotAllocFixtureProducesExactDiagnostics) {
   const RunResult result = RunLint(RootArgs(FixturePath("hot_alloc.cc")));
   EXPECT_EQ(result.exit_code, 1);
   const std::vector<std::string> lines = SplitLines(result.stdout_text);
-  ASSERT_EQ(lines.size(), 3u) << result.stdout_text;
+  ASSERT_EQ(lines.size(), 6u) << result.stdout_text;
   EXPECT_EQ(lines[0],
             "tests/lint_fixtures/hot_alloc.cc:22: alloc-in-hot-path: "
             "'push_back' on 'g_staging' allocates (no reserve() for "
@@ -328,6 +331,19 @@ TEST(LintTest, HotAllocFixtureProducesExactDiagnostics) {
             "'std::to_string' allocates on the hot path 'HotIngest'; hoist "
             "the formatting off the steady-state path or mark a "
             "KDSEL_ALLOC_OK boundary");
+  // Explicit template arguments do not hide std::make_unique/make_shared.
+  EXPECT_EQ(lines[3],
+            "tests/lint_fixtures/hot_alloc.cc:53: alloc-in-hot-path: raw "
+            "'std::make_unique' allocates on the hot path 'HotMake'; pool "
+            "it or mark a KDSEL_ALLOC_OK boundary");
+  EXPECT_EQ(lines[4],
+            "tests/lint_fixtures/hot_alloc.cc:54: alloc-in-hot-path: raw "
+            "'std::make_unique' allocates on the hot path 'HotMake'; pool "
+            "it or mark a KDSEL_ALLOC_OK boundary");
+  EXPECT_EQ(lines[5],
+            "tests/lint_fixtures/hot_alloc.cc:55: alloc-in-hot-path: raw "
+            "'std::make_shared' allocates on the hot path 'HotMake'; pool "
+            "it or mark a KDSEL_ALLOC_OK boundary");
 }
 
 // The real tree must stay clean: --self-check exits non-zero on any

@@ -7,8 +7,8 @@
 //   * Persistence: Save/Load of a quantized selector reproduces its
 //     logits bit-for-bit (fp32 master weights + stored activation
 //     scales; weight quantization is deterministic).
-//   * Clone carries quantization over bit-for-bit (serve workers and
-//     hot-reload paths run on clones).
+//   * Clone carries quantization over bit-for-bit (QuantizeInt8 and
+//     in-memory hot reloads copy selectors through it).
 
 #include <gtest/gtest.h>
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -378,6 +379,56 @@ TEST(InferenceServerTest, HotReloadDuringInFlightRequestsIsRaceFree) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(server.stats().completed(), kClients * kPerClient);
+}
+
+TEST(InferenceServerTest, ReplacedSnapshotIsFreedOnceInFlightBatchesFinish) {
+  SelectorRegistry registry(core::SelectorManager("/tmp/kdsel_srv_none"));
+  ASSERT_TRUE(registry.Register("tiny", TrainTinySelector()).ok());
+  std::weak_ptr<const core::TrainedSelector> replaced;
+  {
+    auto snapshot = registry.Get("tiny");
+    ASSERT_TRUE(snapshot.ok());
+    replaced = snapshot->selector;
+  }
+
+  ServerOptions opts;
+  opts.num_workers = 4;
+  opts.max_batch = 4;
+  opts.max_delay_us = 200;
+  InferenceServer server(&registry, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  const auto series = MakeLabeledSeries(4, 31);
+  auto submit_all = [&](size_t count) {
+    std::vector<std::future<StatusOr<SelectResponse>>> futures;
+    for (size_t i = 0; i < count; ++i) {
+      SelectRequest request;
+      request.selector = "tiny";
+      request.series = series[i % series.size()];
+      request.run_detection = false;
+      auto submitted = server.Submit(std::move(request));
+      EXPECT_TRUE(submitted.ok()) << submitted.status();
+      if (submitted.ok()) futures.push_back(std::move(submitted).value());
+    }
+    return futures;
+  };
+
+  // Replace the selector while the first requests are in flight.
+  auto in_flight = submit_all(32);
+  ASSERT_TRUE(registry.Register("tiny", TrainTinySelector(2, 7)).ok());
+  for (auto& f : in_flight) EXPECT_TRUE(f.get().ok());
+  for (auto& f : submit_all(16)) EXPECT_TRUE(f.get().ok());
+
+  // Workers hold a snapshot only while they serve a batch, so once the
+  // batches that started on the old version finish, nothing keeps it
+  // alive. A done callback may resolve just before its worker returns,
+  // hence the bounded wait instead of one check.
+  for (int waited_ms = 0; !replaced.expired() && waited_ms < 10000;
+       ++waited_ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(replaced.expired());
+  server.Stop();
 }
 
 TEST(InferenceServerTest, MicroBatchesGroupConcurrentRequests) {

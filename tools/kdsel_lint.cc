@@ -1842,11 +1842,14 @@ class BodyAnalyzer {
             have_receiver = true;
             j = close;
           } else {
-            // std::f(...): note allocating std calls.
-            if (j + 3 < end && Txt(j + 3) == "(") {
+            // std::f(...) or std::f<T...>(...): note allocating std
+            // calls; explicit template arguments (make_unique<T>) must
+            // not hide the call.
+            const size_t open = TrySkipAngles(*toks_, j + 3);
+            if (open < end && Txt(open) == "(") {
               NoteStdCall(fn_name, Tk(j + 2).line);
-              Expression(j + 4, SkipBalanced(*toks_, j + 3) - 1, false);
-              j = SkipBalanced(*toks_, j + 3);
+              Expression(open + 1, SkipBalanced(*toks_, open) - 1, false);
+              j = SkipBalanced(*toks_, open);
             } else {
               j += 3;
             }
