@@ -1,5 +1,6 @@
 #include "net/server.h"
 
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -13,8 +14,10 @@
 #include <utility>
 
 #include "net/listener.h"
+#include "net/signal.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
+#include "serve/json.h"
 #include "serve/protocol.h"
 
 namespace kdsel::net {
@@ -38,15 +41,6 @@ std::string OverloadedLine(int64_t id, const char* trace = "") {
   }
   out += '}';
   return out;
-}
-
-/// Mirrors serve::SanitizeTraceId's charset; duplicated here so the
-/// shed fast path can validate a peeked trace without a string
-/// allocation. The charset is what makes raw-splicing safe.
-bool IsTraceChar(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '.' || c == '_' || c == ':' ||
-         c == '-';
 }
 
 /// Deterministic server-generated trace id for requests whose client
@@ -156,7 +150,7 @@ KDSEL_HOT LinePeek PeekRequestLine(const std::string& line) {
         // Escapes, exotic characters and over-long ids all disqualify
         // the peek (the id is dropped, not an error): only ids that can
         // be spliced raw are worth recovering on the fast path.
-        if (!IsTraceChar(c) ||
+        if (!serve::IsTraceChar(c) ||
             out + 1 >= obs::FlightRecord::kTraceBytes) {
           break;
         }
@@ -190,7 +184,11 @@ Status NetServer::Start() {
   if (options_.max_line_bytes == 0 || options_.max_write_buffer_bytes == 0) {
     return Status::InvalidArgument("buffer caps must be positive");
   }
-  KDSEL_ASSIGN_OR_RETURN(HostPort address, ParseHostPort(options_.listen));
+  const bool listening = !options_.listen.empty();
+  HostPort address;
+  if (listening) {
+    KDSEL_ASSIGN_OR_RETURN(address, ParseHostPort(options_.listen));
+  }
 
   auto cleanup = [&] {
     for (auto& shard : shards_) {
@@ -206,13 +204,15 @@ Status NetServer::Start() {
     shard->owner = this;
     shard->index = i;
 
-    auto listener = OpenReusePortListener(address, options_.backlog);
-    if (!listener.ok()) {
-      cleanup();
-      return listener.status();
+    if (listening) {
+      auto listener = OpenReusePortListener(address, options_.backlog);
+      if (!listener.ok()) {
+        cleanup();
+        return listener.status();
+      }
+      shard->listen_fd = *listener;
     }
-    shard->listen_fd = *listener;
-    if (i == 0) {
+    if (listening && i == 0) {
       // Resolve an ephemeral-port request so the remaining shards (and
       // the caller) bind/see the same concrete port.
       auto port = LocalPort(shard->listen_fd);
@@ -240,8 +240,9 @@ Status NetServer::Start() {
     epoll_event wake = {};
     wake.events = EPOLLIN;
     wake.data.fd = shard->wake_fd;
-    if (epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, shard->listen_fd, &ev) != 0 ||
-        epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, shard->wake_fd, &wake) != 0) {
+    if (epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, shard->wake_fd, &wake) != 0 ||
+        (listening && epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD,
+                                shard->listen_fd, &ev) != 0)) {
       Status status =
           Status::IoError(std::string("epoll_ctl: ") + std::strerror(errno));
       shards_.push_back(std::move(shard));
@@ -271,7 +272,30 @@ void NetServer::Stop() {
     shard->thread.join();
     close(shard->epoll_fd);
     close(shard->wake_fd);
+    // A socket adopted while the shard was already exiting is never
+    // served; the shard owned it, so it is closed here.
+    std::lock_guard<std::mutex> lock(shard->done_mu);
+    for (const int fd : shard->adopted) close(fd);
   }
+}
+
+Status NetServer::Adopt(int fd) {
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
+  Status status = started_ && !stopped_
+                      ? SetNonBlocking(fd)
+                      : Status::FailedPrecondition("net server is not running");
+  if (!status.ok()) {
+    close(fd);
+    return status;
+  }
+  // Same hand-off as a completion: the wake write retires under the
+  // lock the shard takes to drain the socket.
+  Shard& shard = *shards_.front();
+  std::lock_guard<std::mutex> lock(shard.done_mu);
+  shard.adopted.push_back(fd);
+  const uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = write(shard.wake_fd, &one, sizeof(one));
+  return Status::OK();
 }
 
 void NetServer::PushCompletion(Shard& shard, Completion completion) {
@@ -293,8 +317,6 @@ void NetServer::EnqueueReady(Conn& conn, std::string line) {
 }
 
 void NetServer::AcceptReady(Shard& shard) {
-  static obs::Counter& accepted =
-      obs::MetricsRegistry::Global().GetCounter("kdsel.net.connections");
   for (;;) {
     const int fd = accept4(shard.listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) {
@@ -306,21 +328,27 @@ void NetServer::AcceptReady(Shard& shard) {
     // kernel refusing TCP_NODELAY is not fatal.
     Status nodelay = SetNoDelay(fd);
     (void)nodelay;
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    conn->gen = ++shard.next_gen;
-    conn->armed = EPOLLIN;
-    epoll_event ev = {};
-    ev.events = conn->armed;
-    ev.data.fd = fd;
-    if (epoll_ctl(shard.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      close(fd);
-      continue;
-    }
-    shard.conns[fd] = std::move(conn);
-    accepted.Increment();
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    AddConn(shard, fd);
   }
+}
+
+void NetServer::AddConn(Shard& shard, int fd) {
+  static obs::Counter& accepted =
+      obs::MetricsRegistry::Global().GetCounter("kdsel.net.connections");
+  auto conn = std::make_unique<Conn>();
+  conn->fd = fd;
+  conn->gen = ++shard.next_gen;
+  conn->armed = EPOLLIN;
+  epoll_event ev = {};
+  ev.events = conn->armed;
+  ev.data.fd = fd;
+  if (epoll_ctl(shard.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    close(fd);
+    return;
+  }
+  shard.conns[fd] = std::move(conn);
+  accepted.Increment();
+  connections_accepted_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void NetServer::ProcessLine(
@@ -463,10 +491,7 @@ void NetServer::ProcessLine(
           completion.line = serve::FormatSelectResponse(id, *response, labeled,
                                                         want_scores,
                                                         trace_echo);
-        } else if (response.status().code() ==
-                       StatusCode::kFailedPrecondition &&
-                   response.status().message().find("queue full") !=
-                       std::string::npos) {
+        } else if (serve::IsQueueFull(response.status())) {
           // Backpressure from the bounded submit queue is load shedding
           // by another door: same cheap reply, same counter, and no
           // latency sample (the request never ran).
@@ -566,10 +591,13 @@ void NetServer::DrainCompletions(Shard& shard) {
   [[maybe_unused]] ssize_t n =
       read(shard.wake_fd, &counter, sizeof(counter));
   std::vector<Completion> done;
+  std::vector<int> adopted;
   {
     std::lock_guard<std::mutex> lock(shard.done_mu);
     done.swap(shard.done);
+    adopted.swap(shard.adopted);
   }
+  for (const int fd : adopted) AddConn(shard, fd);
   for (Completion& completion : done) {
     shard.outstanding.fetch_sub(1, std::memory_order_relaxed);
     auto it = shard.conns.find(completion.fd);
@@ -610,55 +638,34 @@ void NetServer::FlushConn(Shard& shard, Conn& conn) {
     return;
   }
   // Release the ready prefix in submission order. Traced slots park
-  // their metadata in the shard scratch; they are recorded below, after
-  // the send loop, under ONE write timestamp per flush (so tracing adds
-  // one clock read per FlushConn, not per request).
-  shard.flush_scratch.clear();
-  while (!conn.slots.empty()) {
-    Slot& front = conn.slots.front();
-    if (front.kind == Slot::Kind::kPending) break;
-    if (front.kind == Slot::Kind::kStats) {
-      // Formatted only now, when every earlier reply has left the
-      // queue, so the snapshot covers all previously answered requests.
-      front.line = serve::FormatStatsResponse(front.id, *server_);
-    } else if (front.kind == Slot::Kind::kOps) {
-      serve::OpsExtras extras;
-      extras.shedder_json = ShedderJson();
-      extras.flight_json = flight_.DumpJson();
-      front.line =
-          serve::FormatOpsResponse(front.id, front.view, *server_, extras);
+  // their metadata in the shard scratch; SendStaged records them after
+  // the send loop, under ONE write timestamp per pass (so tracing adds
+  // one clock read per pass, not per request).
+  bool released;
+  do {
+    released = true;
+    while (!conn.slots.empty()) {
+      Slot& front = conn.slots.front();
+      if (front.kind == Slot::Kind::kPending) break;
+      if (front.kind != Slot::Kind::kReady) {
+        // A stats/ops snapshot covers every earlier reply, stage samples
+        // included: record the staged ones first, then format it.
+        if (!shard.flush_scratch.empty()) {
+          released = false;
+          break;
+        }
+        front.line = front.kind == Slot::Kind::kStats
+                         ? serve::FormatStatsResponse(front.id, *server_)
+                         : OpsLine(front.id, front.view);
+      }
+      if (front.meta.traced) shard.flush_scratch.push_back(front.meta);
+      conn.wbuf += front.line;
+      conn.wbuf.push_back('\n');
+      conn.slots.pop_front();
+      ++conn.base_seq;
     }
-    if (front.meta.traced) shard.flush_scratch.push_back(front.meta);
-    conn.wbuf += front.line;
-    conn.wbuf.push_back('\n');
-    conn.slots.pop_front();
-    ++conn.base_seq;
-  }
-
-  while (conn.woff < conn.wbuf.size()) {
-    const ssize_t n = send(conn.fd, conn.wbuf.data() + conn.woff,
-                           conn.wbuf.size() - conn.woff, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.woff += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    CloseConn(shard, conn);  // Peer gone; replies are undeliverable.
-    return;  // Scratch metas are dropped with their unsent replies.
-  }
-  if (conn.woff == conn.wbuf.size() && !conn.wbuf.empty()) {
-    conn.wbuf.clear();
-    conn.woff = 0;
-  }
-
-  if (!shard.flush_scratch.empty()) {
-    const int64_t flushed_us = NowUs();
-    for (const ReqMeta& meta : shard.flush_scratch) {
-      RecordFlushed(meta, flushed_us);
-    }
-    shard.flush_scratch.clear();
-  }
+    if (!SendStaged(shard, conn)) return;
+  } while (!released);
 
   if (conn.stop_reading && conn.slots.empty() &&
       conn.woff == conn.wbuf.size()) {
@@ -686,6 +693,34 @@ void NetServer::FlushConn(Shard& shard, Conn& conn) {
       conn.armed = want;
     }
   }
+}
+
+bool NetServer::SendStaged(Shard& shard, Conn& conn) {
+  while (conn.woff < conn.wbuf.size()) {
+    const ssize_t n = send(conn.fd, conn.wbuf.data() + conn.woff,
+                           conn.wbuf.size() - conn.woff, MSG_NOSIGNAL);
+    if (n > 0) {
+      conn.woff += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && errno == EINTR) continue;
+    CloseConn(shard, conn);  // Peer gone; replies are undeliverable.
+    shard.flush_scratch.clear();  // Dropped with their unsent replies.
+    return false;
+  }
+  if (conn.woff == conn.wbuf.size() && !conn.wbuf.empty()) {
+    conn.wbuf.clear();
+    conn.woff = 0;
+  }
+  if (!shard.flush_scratch.empty()) {
+    const int64_t flushed_us = NowUs();
+    for (const ReqMeta& meta : shard.flush_scratch) {
+      RecordFlushed(meta, flushed_us);
+    }
+    shard.flush_scratch.clear();
+  }
+  return true;
 }
 
 void NetServer::CloseConn(Shard& shard, Conn& conn) {
@@ -733,22 +768,29 @@ void NetServer::RecordFlushed(const ReqMeta& meta, int64_t flushed_us) {
   flight_.Record(record);
 }
 
-std::string NetServer::ShedderJson() const {
-  auto format_us = [](double us) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.1f", us);
-    return std::string(buf);
-  };
-  std::string out = "{\"enabled\":";
-  out += options_.slo_ms > 0.0 ? "true" : "false";
-  out += ",\"state\":\"";
-  out += shedder_.shedding() ? "shed" : "admit";
-  out += "\",\"slo_us\":" + format_us(shedder_.options().slo_us);
-  out += ",\"window_p99_us\":" + format_us(shedder_.window_p99());
-  out += ",\"transitions\":" + std::to_string(shedder_.transitions());
-  out += ",\"shed\":" + std::to_string(shedder_.shed_count());
-  out += ",\"evaluations\":" + std::to_string(shedder_.evaluations());
-  out += '}';
+std::string NetServer::OpsLine(int64_t id, const std::string& view) const {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  std::string out = "{\"id\":" + std::to_string(id) + ",\"ok\":true";
+  if (view == "flight") {
+    out += ",\"flight\":" + flight_.DumpJson();
+  } else if (view == "prometheus") {
+    out += ",\"prometheus\":";
+    serve::AppendJsonString(out, metrics.RenderPrometheus());
+  } else {  // "snapshot"
+    out += ",\"stats\":" + server_->stats().ToJsonString();
+    out += ",\"metrics\":" + metrics.SnapshotJson();
+    out += ",\"shedder\":{\"enabled\":";
+    out += options_.slo_ms > 0.0 ? "true" : "false";
+    out += ",\"state\":\"";
+    out += shedder_.shedding() ? "shed" : "admit";
+    out += "\",\"slo_us\":" + serve::FormatUs(shedder_.options().slo_us);
+    out += ",\"window_p99_us\":" + serve::FormatUs(shedder_.window_p99());
+    out += ",\"transitions\":" + std::to_string(shedder_.transitions());
+    out += ",\"shed\":" + std::to_string(shedder_.shed_count());
+    out += ",\"evaluations\":" + std::to_string(shedder_.evaluations());
+    out += '}';
+  }
+  out.push_back('}');
   return out;
 }
 
@@ -812,9 +854,11 @@ void NetServer::ShardLoop(Shard& shard) {
     if (stopping_.load(std::memory_order_acquire) && !draining) {
       draining = true;
       drain_deadline_us = now_us + kStopFlushBudgetUs;
-      epoll_ctl(shard.epoll_fd, EPOLL_CTL_DEL, shard.listen_fd, nullptr);
-      close(shard.listen_fd);
-      shard.listen_fd = -1;
+      if (shard.listen_fd >= 0) {
+        epoll_ctl(shard.epoll_fd, EPOLL_CTL_DEL, shard.listen_fd, nullptr);
+        close(shard.listen_fd);
+        shard.listen_fd = -1;
+      }
       for (auto it = shard.conns.begin(); it != shard.conns.end();) {
         Conn& conn = *it->second;
         ++it;
@@ -840,6 +884,101 @@ void NetServer::ShardLoop(Shard& shard) {
       }
     }
   }
+}
+
+Status ServeStdio(int in_fd, int out_fd, serve::InferenceServer& server) {
+  int pair[2];
+  if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair) != 0) {
+    return Status::IoError(std::string("socketpair: ") + std::strerror(errno));
+  }
+  const int sock = pair[1];
+  NetServerOptions options;
+  options.listen = "";
+  NetServer net(&server, options);
+  Status status = net.Start();
+  if (status.ok()) {
+    status = net.Adopt(pair[0]);
+  } else {
+    close(pair[0]);
+  }
+  if (status.ok()) status = SetNonBlocking(sock);
+  if (!status.ok()) {
+    close(sock);
+    return status;
+  }
+
+  // At most one chunk of input is in flight, so a client that stops
+  // reading replies is throttled by the shard's write backpressure.
+  char in_buf[64 * 1024];
+  char out_buf[64 * 1024];
+  size_t in_len = 0;
+  size_t in_off = 0;
+  char last = '\n';     // Last input byte read.
+  bool reading = true;  // No EOF, read error or shutdown signal yet.
+  bool half_closed = false;
+  for (;;) {
+    if (!reading && in_off == in_len && !half_closed) {
+      shutdown(sock, SHUT_WR);  // The shard answers what it has, then closes.
+      half_closed = true;
+    }
+    pollfd fds[3] = {};
+    fds[0].fd = reading && in_off == in_len ? in_fd : -1;
+    fds[0].events = POLLIN;
+    fds[1].fd = sock;
+    fds[1].events = in_off < in_len ? POLLIN | POLLOUT : POLLIN;
+    fds[2].fd = reading ? ShutdownEventFd() : -1;
+    fds[2].events = POLLIN;
+    if (poll(fds, 3, -1) < 0 && errno != EINTR) {
+      status = Status::IoError(std::string("poll: ") + std::strerror(errno));
+      break;
+    }
+    if (ShutdownRequested()) reading = false;
+    if (fds[0].revents != 0 && reading) {
+      const ssize_t n = read(in_fd, in_buf, sizeof(in_buf));
+      if (n > 0) {
+        in_len = static_cast<size_t>(n);
+        in_off = 0;
+        last = in_buf[n - 1];
+      } else if (n == 0 || errno != EINTR) {
+        reading = false;
+        // An unterminated last line still counts as a request.
+        if (n == 0 && last != '\n') {
+          in_buf[0] = last = '\n';
+          in_len = 1;
+          in_off = 0;
+        }
+      }
+    }
+    if (fds[1].revents & POLLOUT) {
+      const ssize_t n =
+          send(sock, in_buf + in_off, in_len - in_off, MSG_NOSIGNAL);
+      if (n > 0) {
+        in_off += static_cast<size_t>(n);
+      } else if (errno != EAGAIN && errno != EINTR) {
+        in_off = in_len;  // The session ended (quit): drop the rest.
+        reading = false;
+      }
+    }
+    if (fds[1].revents & (POLLIN | POLLHUP | POLLERR)) {
+      const ssize_t n = read(sock, out_buf, sizeof(out_buf));
+      if (n == 0 || (n < 0 && errno != EAGAIN && errno != EINTR)) break;
+      for (ssize_t off = 0; off < n;) {
+        const ssize_t w = write(out_fd, out_buf + off,
+                                static_cast<size_t>(n - off));
+        if (w < 0 && errno == EINTR) continue;
+        if (w <= 0) {
+          status = Status::IoError(std::string("write: ") +
+                                   std::strerror(errno));
+          break;
+        }
+        off += w;
+      }
+      if (!status.ok()) break;
+    }
+  }
+  close(sock);
+  net.Stop();
+  return status;
 }
 
 }  // namespace kdsel::net

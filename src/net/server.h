@@ -22,7 +22,8 @@ namespace kdsel::net {
 /// Tuning knobs for the TCP front end.
 struct NetServerOptions {
   /// IPv4 "host:port" to listen on. Port 0 binds an ephemeral port
-  /// (query it with port() after Start()).
+  /// (query it with port() after Start()). "" opens no listener: the
+  /// server then serves only connections handed to Adopt().
   std::string listen = "127.0.0.1:0";
   /// Shard threads. Each owns its own SO_REUSEPORT listening socket,
   /// epoll instance and connections; shards share nothing but the
@@ -87,6 +88,10 @@ LinePeek PeekRequestLine(const std::string& line);
 /// serve/protocol.h) exports all of it live. See DESIGN.md "Request
 /// observability".
 ///
+/// Besides accepted TCP connections, a shard serves any connected
+/// stream socket handed to Adopt(); ServeStdio() uses that to run a
+/// stdin/stdout session through the very same code.
+///
 /// Lifecycle: Start() binds and spawns shards; Stop() closes the
 /// listeners, stops reading, drains every in-flight request, flushes
 /// what the peers will accept, and joins. Stop this front end BEFORE
@@ -102,6 +107,11 @@ class NetServer {
 
   Status Start();
   void Stop();
+
+  /// Hands a connected stream socket to shard 0, which serves it like an
+  /// accepted connection and closes it when the session ends. Takes
+  /// ownership of `fd` (closed here when the server is not running).
+  Status Adopt(int fd);
 
   /// Bound port (after Start(); resolves a port-0 request).
   uint16_t port() const { return port_; }
@@ -186,13 +196,15 @@ class NetServer {
     size_t index = 0;
     int listen_fd = -1;
     int epoll_fd = -1;
-    int wake_fd = -1;  ///< eventfd: completions arrived or Stop() called.
+    int wake_fd = -1;  ///< eventfd: completions, Adopt() or Stop().
     std::thread thread;
     uint64_t next_gen = 0;  ///< Generation source for accepted conns.
     uint64_t trace_seq = 0;  ///< Source for generated trace ids.
     std::map<int, std::unique_ptr<Conn>> conns;  ///< Shard-thread only.
     std::mutex done_mu;
     std::vector<Completion> done KDSEL_GUARDED_BY(done_mu);
+    /// Sockets handed over by Adopt(), registered on the next wake.
+    std::vector<int> adopted KDSEL_GUARDED_BY(done_mu);
     /// Select slots submitted but not yet seen back by this shard; the
     /// loop only exits once this drains (the InferenceServer resolves
     /// every accepted request, so this always terminates).
@@ -205,6 +217,8 @@ class NetServer {
 
   void ShardLoop(Shard& shard);
   void AcceptReady(Shard& shard);
+  /// Registers a non-blocking connected socket with the shard.
+  void AddConn(Shard& shard, int fd);
   void ReadReady(Shard& shard, Conn& conn, int64_t now_us,
                  std::vector<serve::InferenceServer::AsyncItem>& submits);
   void ProcessLine(Shard& shard, Conn& conn, const std::string& line,
@@ -216,17 +230,20 @@ class NetServer {
   /// updates epoll interest (EPOLLOUT, read pause/resume) and closes
   /// the connection when it is finished or broken.
   void FlushConn(Shard& shard, Conn& conn);
+  /// FlushConn's second half: writes wbuf and records the staged traced
+  /// metadata. Returns false when the connection was closed.
+  bool SendStaged(Shard& shard, Conn& conn);
   void CloseConn(Shard& shard, Conn& conn);
   void EnqueueReady(Conn& conn, std::string line);
   void LineOverflow(Shard& shard, Conn& conn);
   /// Records stage histograms and the flight record for one traced
   /// slot whose reply bytes were just handed to the send loop.
-  /// `flushed_us` is a single per-FlushConn timestamp shared by every
-  /// slot flushed in that call.
+  /// `flushed_us` is one timestamp shared by every slot SendStaged
+  /// flushed in that pass.
   void RecordFlushed(const ReqMeta& meta, int64_t flushed_us);
-  /// Renders the shedder's current state as a JSON object for "ops"
-  /// snapshot replies.
-  std::string ShedderJson() const;
+  /// Formats one "ops" reply for the given (already validated) view,
+  /// with this server's shedder state and flight recorder.
+  std::string OpsLine(int64_t id, const std::string& view) const;
 
   serve::InferenceServer* server_;
   NetServerOptions options_;
@@ -241,6 +258,16 @@ class NetServer {
   bool started_ KDSEL_GUARDED_BY(lifecycle_mu_) = false;
   bool stopped_ KDSEL_GUARDED_BY(lifecycle_mu_) = false;
 };
+
+/// Serves one NDJSON session read from `in_fd` with replies written to
+/// `out_fd` (stdin/stdout for `kdsel serve`), under the TCP contract:
+/// the session is one connection of a listener-less, one-shard
+/// NetServer, fed through a socketpair that this function relays on the
+/// calling thread with poll(2) (so `in_fd` may be a regular file).
+/// Returns after "quit" once every earlier reply is written, or after
+/// EOF on `in_fd` (or SIGINT/SIGTERM, see net/signal.h) once every
+/// request read has been answered. Does NOT stop `server`.
+Status ServeStdio(int in_fd, int out_fd, serve::InferenceServer& server);
 
 }  // namespace kdsel::net
 

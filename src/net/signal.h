@@ -10,10 +10,11 @@ namespace kdsel::net {
 /// internal eventfd so event loops blocked in epoll_wait (or a caller
 /// blocked in WaitForShutdownSignal) wake immediately.
 ///
-/// Handlers are installed WITHOUT SA_RESTART, so the stdin NDJSON loops
-/// (`kdsel serve`/`kdsel stream` in pipe mode) pop out of their blocking
-/// getline with EOF, drain in-flight requests and print final stats
-/// instead of dying mid-write. Call once; subsequent calls are no-ops.
+/// Handlers are installed WITHOUT SA_RESTART, so the stdin NDJSON
+/// sessions end like EOF instead of dying mid-write: `kdsel serve`'s
+/// relay (ServeStdio) wakes from poll on the eventfd, and `kdsel
+/// stream`'s blocking getline returns EOF. Both drain in-flight requests
+/// and print final stats. Call once; subsequent calls are no-ops.
 Status InstallShutdownHandlers();
 
 /// True once SIGINT or SIGTERM has been delivered.

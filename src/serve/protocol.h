@@ -1,7 +1,6 @@
 #ifndef KDSEL_SERVE_PROTOCOL_H_
 #define KDSEL_SERVE_PROTOCOL_H_
 
-#include <iosfwd>
 #include <string>
 
 #include "serve/server.h"
@@ -20,9 +19,8 @@ namespace kdsel::serve {
 ///   {"op":"ops","id":5,"view":"snapshot"}  -- live telemetry (see below)
 ///   {"op":"quit"}                   -- drain and exit (EOF works too)
 ///
-/// Responses echo the request id (and the request's "trace" when one was
-/// supplied; over TCP a server-generated trace id is echoed even when
-/// the client sent none):
+/// Responses echo the request id and a trace id: the request's "trace"
+/// when it passes SanitizeTraceId, else one the server generates:
 ///   {"id":1,"ok":true,"model":"IForest","model_id":4,"votes":[...],
 ///    "num_windows":8,"auc_pr":0.91,"queue_us":...,"select_us":...,
 ///    "detect_us":...,"total_us":...,"batch_size":3,"scores":[...],
@@ -75,32 +73,22 @@ std::string FormatErrorResponse(int64_t id, const Status& status,
                                 const std::string& trace = "");
 std::string FormatOkResponse(int64_t id);
 
-/// Control-op replies shared by the stdin loop and the TCP shards.
+/// Control-op replies. The net layer formats "ops" replies itself: they
+/// carry its shedder and flight recorder.
 std::string FormatListResponse(int64_t id, SelectorRegistry& registry);
 std::string FormatStatsResponse(int64_t id, const InferenceServer& server);
 
-/// Transport-owned telemetry spliced into an "ops" reply. Each field is
-/// pre-rendered JSON text (or empty when the transport has no such
-/// component, e.g. the stdin loop has no shedder or flight recorder, in
-/// which case the reply carries `null`). Keeping these as opaque text
-/// lets serve stay below net in the dependency graph.
-struct OpsExtras {
-  std::string shedder_json;  ///< Shedder state object, or "".
-  std::string flight_json;   ///< FlightRecorder::DumpJson(), or "".
-};
+/// True for the characters a sanitized trace id may hold
+/// ([A-Za-z0-9._:-]); the net shed fast path validates peeked bytes
+/// with it without allocating.
+inline bool IsTraceChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '.' || c == '_' || c == ':' ||
+         c == '-';
+}
 
-/// Formats one "ops" reply for the given (already validated) view.
-std::string FormatOpsResponse(int64_t id, const std::string& view,
-                              const InferenceServer& server,
-                              const OpsExtras& extras);
-
-/// Runs the NDJSON session: reads requests from `in`, submits "select"
-/// ops to `server` (concurrently, responses are written in submission
-/// order), and answers control ops inline. Returns when "quit" or EOF
-/// is seen and every accepted request has been answered. Does NOT stop
-/// the server; the caller owns its lifecycle.
-Status RunServeLoop(std::istream& in, std::ostream& out,
-                    InferenceServer& server);
+/// Renders microseconds as the wire's fixed "%.1f" text.
+std::string FormatUs(double us);
 
 }  // namespace kdsel::serve
 

@@ -17,7 +17,15 @@ double ToUs(obs::Clock::duration d) {
   return std::chrono::duration<double, std::micro>(d).count();
 }
 
+/// Message prefix of the queue-full refusal; IsQueueFull keys on it.
+constexpr char kQueueFull[] = "submission queue full";
+
 }  // namespace
+
+bool IsQueueFull(const Status& status) {
+  return status.code() == StatusCode::kFailedPrecondition &&
+         status.message().rfind(kQueueFull, 0) == 0;
+}
 
 InferenceServer::InferenceServer(SelectorRegistry* registry,
                                  ServerOptions options)
@@ -66,45 +74,6 @@ void InferenceServer::Stop() {
   workers_.clear();
 }
 
-StatusOr<std::future<StatusOr<SelectResponse>>> InferenceServer::Submit(
-    SelectRequest request) {
-  // Promise-backed shim over the callback path. The shared_ptr keeps the
-  // promise alive inside the copyable std::function.
-  auto state = std::make_shared<std::promise<StatusOr<SelectResponse>>>();
-  std::future<StatusOr<SelectResponse>> future = state->get_future();
-  KDSEL_RETURN_NOT_OK(SubmitAsync(
-      std::move(request), [state](StatusOr<SelectResponse> response) {
-        state->set_value(std::move(response));
-      }));
-  return future;
-}
-
-Status InferenceServer::SubmitAsync(SelectRequest request, DoneCallback done) {
-  if (request.selector.empty()) {
-    return Status::InvalidArgument("request names no selector");
-  }
-  Pending pending;
-  pending.request = std::move(request);
-  pending.done = std::move(done);
-  pending.submit_time = Clock::now();
-  {
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    if (!accepting_) {
-      return Status::FailedPrecondition("server is not accepting requests");
-    }
-    if (submit_queue_.size() >= options_.queue_capacity) {
-      stats_.RecordRejected();
-      return Status::FailedPrecondition(
-          "submission queue full (" +
-          std::to_string(options_.queue_capacity) + " requests)");
-    }
-    submit_queue_.push_back(std::move(pending));
-  }
-  stats_.RecordSubmitted();
-  submit_cv_.notify_all();
-  return Status::OK();
-}
-
 void InferenceServer::SubmitBatch(std::vector<AsyncItem> items) {
   const Clock::time_point now = Clock::now();
   // `done` for inadmissible items runs after the lock drops: callbacks
@@ -122,7 +91,7 @@ void InferenceServer::SubmitBatch(std::vector<AsyncItem> items) {
       } else if (submit_queue_.size() >= options_.queue_capacity) {
         stats_.RecordRejected();
         verdict = Status::FailedPrecondition(
-            "submission queue full (" +
+            std::string(kQueueFull) + " (" +
             std::to_string(options_.queue_capacity) + " requests)");
       }
       if (!verdict.ok()) {
@@ -144,9 +113,23 @@ void InferenceServer::SubmitBatch(std::vector<AsyncItem> items) {
   for (auto& [done, status] : failed) done(status);
 }
 
+std::future<StatusOr<SelectResponse>> InferenceServer::Submit(
+    SelectRequest request) {
+  // The shared_ptr keeps the promise alive inside the copyable
+  // std::function.
+  auto state = std::make_shared<std::promise<StatusOr<SelectResponse>>>();
+  std::future<StatusOr<SelectResponse>> future = state->get_future();
+  std::vector<AsyncItem> items(1);
+  items[0].request = std::move(request);
+  items[0].done = [state](StatusOr<SelectResponse> response) {
+    state->set_value(std::move(response));
+  };
+  SubmitBatch(std::move(items));
+  return future;
+}
+
 StatusOr<SelectResponse> InferenceServer::Run(SelectRequest request) {
-  KDSEL_ASSIGN_OR_RETURN(auto future, Submit(std::move(request)));
-  return future.get();
+  return Submit(std::move(request)).get();
 }
 
 void InferenceServer::PushBatch(Batch batch) {

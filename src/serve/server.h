@@ -75,7 +75,7 @@ struct SelectResponse {
 ///
 /// Architecture (see src/serve/README.md):
 ///
-///   Submit() -> bounded submission queue -> batcher thread ->
+///   SubmitBatch() -> bounded submission queue -> batcher thread ->
 ///   per-selector micro-batches -> batch queue -> worker pool
 ///
 /// The batcher groups concurrent requests addressed to the same selector
@@ -110,34 +110,29 @@ class InferenceServer {
   /// performs the shutdown, the rest return immediately.
   void Stop();
 
-  /// Enqueues a request. Fails fast with FailedPrecondition when the
-  /// submission queue is full (backpressure) or the server is stopped.
-  /// The future resolves when a worker finishes the request.
-  StatusOr<std::future<StatusOr<SelectResponse>>> Submit(SelectRequest request);
-
-  /// Completion callback for the async submission path. Invoked exactly
-  /// once per request, from a worker thread (or from the submitting
-  /// thread when admission fails synchronously). Must not block: the
-  /// net layer's callbacks hand the formatted response to an epoll shard
-  /// and return.
+  /// Completion callback of a submitted request. Invoked exactly once
+  /// per request, from a worker thread (or from the submitting thread
+  /// when admission fails). Must not block: the net layer's callbacks
+  /// hand the formatted response to an epoll shard and return.
   using DoneCallback = std::function<void(StatusOr<SelectResponse>)>;
 
-  /// One request of a batched async hand-off.
+  /// One request of a batched hand-off.
   struct AsyncItem {
     SelectRequest request;
     DoneCallback done;
   };
 
-  /// Callback flavor of Submit for event-loop callers that cannot park a
-  /// thread on a future.
-  Status SubmitAsync(SelectRequest request, DoneCallback done);
-
-  /// Batched hand-off: admits every item under ONE submission-queue lock
+  /// The submit path: admits every item under ONE submission-queue lock
   /// acquisition (an epoll shard submits everything parsed in one wake
-  /// cycle together). Items that cannot be admitted (queue full, server
-  /// stopped) have `done` invoked synchronously with the error; the rest
-  /// resolve from worker threads. Every `done` is invoked exactly once.
+  /// cycle together). Items that cannot be admitted (no selector named,
+  /// server not accepting, queue full -- see IsQueueFull) have `done`
+  /// invoked synchronously with the error; the rest resolve from worker
+  /// threads. Every `done` is invoked exactly once.
   void SubmitBatch(std::vector<AsyncItem> items);
+
+  /// Convenience: a one-item SubmitBatch whose future resolves with the
+  /// response, or with the admission error.
+  std::future<StatusOr<SelectResponse>> Submit(SelectRequest request);
 
   /// Convenience: Submit + wait.
   StatusOr<SelectResponse> Run(SelectRequest request);
@@ -193,6 +188,11 @@ class InferenceServer {
   bool started_ KDSEL_GUARDED_BY(lifecycle_mu_) = false;
   bool stopped_ KDSEL_GUARDED_BY(lifecycle_mu_) = false;
 };
+
+/// True when `status` is SubmitBatch's refusal of a request because the
+/// bounded submission queue was full (backpressure, not a failure of
+/// the request itself).
+bool IsQueueFull(const Status& status);
 
 }  // namespace kdsel::serve
 

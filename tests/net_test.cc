@@ -590,6 +590,37 @@ TEST(NetServerTest, OpsSnapshotExportsStatsShedderAndStageHistograms) {
   }
 }
 
+// A stats/ops snapshot covers every earlier reply on its connection,
+// including the stage samples of replies flushed in the same pass.
+TEST(NetServerTest, OpsSnapshotCountsRepliesFlushedAlongsideIt) {
+  LoopbackServer loopback;
+  TestClient client(loopback.net->port());
+  auto e2e_samples = [&client] {
+    auto reply = serve::Json::Parse(client.ReadLine());
+    KDSEL_CHECK(reply.ok());
+    const serve::Json* histograms =
+        reply->Find("metrics") ? reply->Find("metrics")->Find("histograms")
+                               : nullptr;
+    const serve::Json* e2e =
+        histograms ? histograms->Find("kdsel.net.e2e") : nullptr;
+    return e2e ? e2e->GetNumber("samples", 0) : 0.0;
+  };
+  client.Send(R"({"op":"ops","id":0})");
+  const double before = e2e_samples();
+
+  constexpr int kSelects = 8;
+  std::string burst;  // One write: the selects and the snapshot after them.
+  for (int i = 1; i <= kSelects; ++i) burst += SelectLine(i) + "\n";
+  burst += R"({"op":"ops","id":100})";
+  client.Send(burst);
+  for (int i = 1; i <= kSelects; ++i) {
+    auto reply = serve::Json::Parse(client.ReadLine());
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(reply->GetNumber("id", -1), i);
+  }
+  EXPECT_GE(e2e_samples(), before + kSelects);
+}
+
 TEST(NetServerTest, OpsFlightAndPrometheusViewsOverTheWire) {
   LoopbackServer loopback;
   TestClient client(loopback.net->port());

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -12,6 +16,7 @@
 #include "common/rng.h"
 #include "core/pipeline.h"
 #include "datagen/families.h"
+#include "net/server.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -72,6 +77,31 @@ std::vector<ts::TimeSeries> MakeLabeledSeries(size_t count, uint64_t seed) {
     series.push_back(std::move(s).value());
   }
   return series;
+}
+
+/// Runs one stdin session through net::ServeStdio. `input` is read from
+/// a regular temp file, the input kind epoll cannot watch; the replies
+/// land in `lines`.
+Status RunStdioSession(const std::string& input, InferenceServer& server,
+                       std::vector<std::string>* lines) {
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  KDSEL_CHECK(in != nullptr && out != nullptr);
+  std::fwrite(input.data(), 1, input.size(), in);
+  std::fflush(in);
+  std::rewind(in);
+  Status status = net::ServeStdio(fileno(in), fileno(out), server);
+  std::rewind(out);
+  std::string text;
+  char chunk[4096];
+  for (size_t n; (n = std::fread(chunk, 1, sizeof(chunk), out)) > 0;) {
+    text.append(chunk, n);
+  }
+  std::fclose(in);
+  std::fclose(out);
+  std::istringstream reread(text);
+  for (std::string line; std::getline(reread, line);) lines->push_back(line);
+  return status;
 }
 
 TEST(JsonTest, ParseDumpRoundTrip) {
@@ -211,7 +241,7 @@ TEST(InferenceServerTest, RejectsBadConfigAndUse) {
     SelectRequest request;
     request.selector = "tiny";
     request.series = ts::TimeSeries("x", std::vector<float>(32, 0.0f));
-    EXPECT_FALSE(server.Submit(std::move(request)).ok());
+    EXPECT_FALSE(server.Submit(std::move(request)).get().ok());
   }
   {
     ServerOptions bad;
@@ -224,7 +254,7 @@ TEST(InferenceServerTest, RejectsBadConfigAndUse) {
     ASSERT_TRUE(server.Start().ok());
     SelectRequest request;  // Empty selector name.
     request.series = ts::TimeSeries("x", std::vector<float>(32, 0.0f));
-    EXPECT_FALSE(server.Submit(std::move(request)).ok());
+    EXPECT_FALSE(server.Submit(std::move(request)).get().ok());
     // Unknown selector: accepted, resolves to NotFound.
     SelectRequest unknown;
     unknown.selector = "ghost";
@@ -406,9 +436,7 @@ TEST(InferenceServerTest, ReplacedSnapshotIsFreedOnceInFlightBatchesFinish) {
       request.selector = "tiny";
       request.series = series[i % series.size()];
       request.run_detection = false;
-      auto submitted = server.Submit(std::move(request));
-      EXPECT_TRUE(submitted.ok()) << submitted.status();
-      if (submitted.ok()) futures.push_back(std::move(submitted).value());
+      futures.push_back(server.Submit(std::move(request)));
     }
     return futures;
   };
@@ -452,9 +480,7 @@ TEST(InferenceServerTest, MicroBatchesGroupConcurrentRequests) {
     request.selector = "tiny";
     request.series = series;
     request.run_detection = false;
-    auto submitted = server.Submit(std::move(request));
-    ASSERT_TRUE(submitted.ok()) << submitted.status();
-    futures.push_back(std::move(submitted).value());
+    futures.push_back(server.Submit(std::move(request)));
   }
   for (auto& f : futures) {
     auto response = f.get();
@@ -530,7 +556,7 @@ TEST(ProtocolTest, NdjsonSessionEndToEnd) {
   }
   values += "]";
 
-  std::istringstream in(
+  const std::string in(
       R"({"op":"list","id":1})"
       "\n"
       R"({"op":"select","id":2,"selector":"tiny","values":)" +
@@ -546,13 +572,10 @@ TEST(ProtocolTest, NdjsonSessionEndToEnd) {
       "\n"
       R"({"op":"quit"})"
       "\n");
-  std::ostringstream out;
-  ASSERT_TRUE(RunServeLoop(in, out, server).ok());
+  std::vector<std::string> lines;
+  ASSERT_TRUE(RunStdioSession(in, server, &lines).ok());
   server.Stop();
 
-  std::vector<std::string> lines;
-  std::istringstream reread(out.str());
-  for (std::string line; std::getline(reread, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 6u);
 
   auto list_reply = Json::Parse(lines[0]);
@@ -610,7 +633,7 @@ TEST(InferenceServerTest, ServeLoopRecoversIdsFromMalformedLines) {
   }
   values += "]";
 
-  std::istringstream in(
+  const std::string in(
       std::string("not json at all\n") +                         // -> id -1
       R"({"op":"select","id":41,"selector":"tiny","values":[]})" // -> id 41
       "\n"
@@ -621,13 +644,10 @@ TEST(InferenceServerTest, ServeLoopRecoversIdsFromMalformedLines) {
       "\n"
       R"({"op":"quit"})"
       "\n");
-  std::ostringstream out;
-  ASSERT_TRUE(RunServeLoop(in, out, server).ok());
+  std::vector<std::string> lines;
+  ASSERT_TRUE(RunStdioSession(in, server, &lines).ok());
   server.Stop();
 
-  std::vector<std::string> lines;
-  std::istringstream reread(out.str());
-  for (std::string line; std::getline(reread, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 4u);
 
   auto garbage = Json::Parse(lines[0]);
@@ -685,7 +705,7 @@ TEST(InferenceServerTest, ServesFp32AndInt8VariantsSideBySide) {
   const std::string base =
       R"("selector":"tiny","values":)" + values + R"(,"detect":false)";
 
-  std::istringstream in(
+  const std::string in(
       R"({"op":"select","id":1,)" + base + "}\n" +
       R"({"op":"select","id":2,"variant":"int8",)" + base + "}\n" +
       R"({"op":"select","id":3,"variant":"fp32",)" + base + "}\n" +
@@ -693,13 +713,10 @@ TEST(InferenceServerTest, ServesFp32AndInt8VariantsSideBySide) {
       R"({"op":"reload","id":5,"selector":"tiny.int8"})" "\n" +
       R"({"op":"stats","id":6})" "\n" +
       R"({"op":"quit"})" "\n");
-  std::ostringstream out;
-  ASSERT_TRUE(RunServeLoop(in, out, server).ok());
+  std::vector<std::string> lines;
+  ASSERT_TRUE(RunStdioSession(in, server, &lines).ok());
   server.Stop();
 
-  std::vector<std::string> lines;
-  std::istringstream reread(out.str());
-  for (std::string line; std::getline(reread, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 6u);
 
   // Default, explicit-fp32 and int8 routes all serve successfully.
@@ -732,6 +749,150 @@ TEST(InferenceServerTest, ServesFp32AndInt8VariantsSideBySide) {
   EXPECT_EQ(variants->GetNumber("fp32", -1), 2.0);
   EXPECT_EQ(variants->GetNumber("int8", -1), 1.0);
   std::filesystem::remove_all(dir);
+}
+
+// SubmitBatch decides every admission under one hold of submit_mu_, so
+// with room for one request, the other seven of a batch of eight are
+// refused as queue full on the submitting thread, before it returns.
+TEST(InferenceServerTest, QueueFullRefusalsResolveInsideSubmitBatch) {
+  SelectorRegistry registry(core::SelectorManager("/tmp/kdsel_srv_none"));
+  ASSERT_TRUE(registry.Register("tiny", TrainTinySelector()).ok());
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.queue_capacity = 1;
+  InferenceServer server(&registry, opts);
+  auto make_request = [](const std::string& selector) {
+    SelectRequest request;
+    request.selector = selector;
+    request.series = ts::TimeSeries("x", std::vector<float>(32, 0.0f));
+    request.run_detection = false;
+    return request;
+  };
+
+  auto not_started = server.Submit(make_request("tiny")).get();
+  ASSERT_FALSE(not_started.ok());
+  EXPECT_FALSE(IsQueueFull(not_started.status()));
+
+  ASSERT_TRUE(server.Start().ok());
+  auto no_selector = server.Submit(make_request("")).get();
+  ASSERT_FALSE(no_selector.ok());
+  EXPECT_FALSE(IsQueueFull(no_selector.status()));
+
+  const auto submitter = std::this_thread::get_id();
+  std::vector<Status> refused;  // Written only on the submitting thread.
+  std::promise<bool> admitted;
+  std::vector<InferenceServer::AsyncItem> items(8);
+  for (auto& item : items) {
+    item.request = make_request("tiny");
+    item.done = [&](StatusOr<SelectResponse> response) {
+      if (std::this_thread::get_id() == submitter) {
+        refused.push_back(response.status());
+      } else {
+        admitted.set_value(response.ok());
+      }
+    };
+  }
+  server.SubmitBatch(std::move(items));
+  ASSERT_EQ(refused.size(), 7u);
+  for (const Status& status : refused) {
+    EXPECT_TRUE(IsQueueFull(status)) << status;
+  }
+  EXPECT_EQ(server.stats().rejected(), 7u);
+  EXPECT_TRUE(admitted.get_future().get());
+  server.Stop();
+}
+
+// --- net::ServeStdio session lifecycle -----------------------------------
+
+/// A select line for TrainTinySelector (window 16) over `points` values.
+std::string StdioSelectLine(int id, int points = 32) {
+  std::string line = R"({"op":"select","id":)" + std::to_string(id) +
+                     R"(,"selector":"tiny","detect":false,"values":[)";
+  for (int i = 0; i < points; ++i) {
+    if (i > 0) line += ",";
+    line += std::to_string(std::sin(0.3 * static_cast<double>(i + id)));
+  }
+  return line + "]}";
+}
+
+struct StdioFixture {
+  StdioFixture() : registry(core::SelectorManager("/tmp/kdsel_srv_none")) {
+    KDSEL_CHECK(registry.Register("tiny", TrainTinySelector()).ok());
+    ServerOptions opts;
+    opts.num_workers = 2;
+    server = std::make_unique<InferenceServer>(&registry, opts);
+    KDSEL_CHECK(server->Start().ok());
+  }
+  SelectorRegistry registry;
+  std::unique_ptr<InferenceServer> server;
+};
+
+// quit ends the session once every earlier reply is out, without
+// waiting for EOF: the test still holds the pipe's write end.
+TEST(ServeStdioTest, QuitReturnsWhileInputStaysOpen) {
+  StdioFixture fixture;
+  int pipe_fds[2];
+  ASSERT_EQ(pipe(pipe_fds), 0);
+  std::string input;
+  for (int id = 1; id <= 3; ++id) input += StdioSelectLine(id) + "\n";
+  input += R"({"op":"quit"})" "\n" + StdioSelectLine(4) + "\n";
+  ASSERT_EQ(write(pipe_fds[1], input.data(), input.size()),
+            static_cast<ssize_t>(input.size()));
+
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  ASSERT_TRUE(net::ServeStdio(pipe_fds[0], fileno(out), *fixture.server).ok());
+  close(pipe_fds[1]);
+  close(pipe_fds[0]);
+  std::rewind(out);
+  std::vector<std::string> lines;
+  char line[4096];
+  while (std::fgets(line, sizeof(line), out) != nullptr) lines.push_back(line);
+  std::fclose(out);
+
+  ASSERT_EQ(lines.size(), 3u);  // The select after quit is dropped.
+  for (size_t i = 0; i < lines.size(); ++i) {
+    auto reply = Json::Parse(lines[i]);
+    ASSERT_TRUE(reply.ok()) << lines[i];
+    EXPECT_TRUE(reply->GetBool("ok", false)) << lines[i];
+    EXPECT_EQ(reply->GetNumber("id", -1), static_cast<double>(i + 1));
+  }
+}
+
+// EOF without quit still answers every select read before it, in order;
+// an unterminated last line counts.
+TEST(ServeStdioTest, EofDrainsEverySelectInFlight) {
+  StdioFixture fixture;
+  constexpr int kSelects = 24;
+  std::string input;
+  for (int id = 0; id < kSelects; ++id) input += StdioSelectLine(id) + "\n";
+  input.pop_back();
+  std::vector<std::string> lines;
+  ASSERT_TRUE(RunStdioSession(input, *fixture.server, &lines).ok());
+  ASSERT_EQ(lines.size(), static_cast<size_t>(kSelects));
+  for (int id = 0; id < kSelects; ++id) {
+    auto reply = Json::Parse(lines[static_cast<size_t>(id)]);
+    ASSERT_TRUE(reply.ok()) << lines[static_cast<size_t>(id)];
+    EXPECT_TRUE(reply->GetBool("ok", false));
+    EXPECT_EQ(reply->GetNumber("id", -1), static_cast<double>(id));
+  }
+  fixture.server->Stop();
+  EXPECT_EQ(fixture.server->stats().completed(),
+            static_cast<uint64_t>(kSelects));
+}
+
+// Stdin follows the TCP contract: a select without a client trace gets
+// a server-generated one echoed.
+TEST(ServeStdioTest, SelectReplyEchoesGeneratedTrace) {
+  StdioFixture fixture;
+  std::vector<std::string> lines;
+  ASSERT_TRUE(
+      RunStdioSession(StdioSelectLine(5) + "\n", *fixture.server, &lines).ok());
+  ASSERT_EQ(lines.size(), 1u);
+  auto reply = Json::Parse(lines[0]);
+  ASSERT_TRUE(reply.ok()) << lines[0];
+  EXPECT_TRUE(reply->GetBool("ok", false));
+  EXPECT_EQ(reply->GetString("trace", "").rfind("s0-", 0), 0u) << lines[0];
 }
 
 }  // namespace

@@ -25,8 +25,9 @@ bench_serving: every row must carry the latency percentiles
 overload* must actually have shed requests -- an overload run that
 sheds nothing means the SLO admission path silently stopped firing.
 
-`--profile ops` validates a live-telemetry snapshot saved from
-`kdsel ops --connect HOST:PORT` (one NDJSON reply line). The envelope
+`--profile ops` validates a live-telemetry snapshot: one NDJSON "ops"
+reply line, saved from `kdsel ops --connect HOST:PORT` or from a
+`kdsel serve` stdin session. The envelope
 must be ok:true with stats (including shed/shed_rate), a shedder
 object, and a metrics snapshot where every per-stage request histogram
 (kdsel.net.stage.* and kdsel.net.e2e) is present AND non-empty: a
@@ -216,8 +217,8 @@ def check_ops_snapshot(path, snapshot):
     shedder = snapshot.get("shedder")
     if not isinstance(shedder, dict):
         errors.append(
-            f"{path}: missing 'shedder' object (stdin-mode snapshots have "
-            "no shedder; scrape a TCP server via `kdsel ops --connect`)"
+            f"{path}: missing 'shedder' object (is this a \"view\":"
+            "\"snapshot\" ops reply?)"
         )
     else:
         for key in ("state", "window_p99_us", "transitions", "shed"):

@@ -41,7 +41,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/json.h"
-#include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "stream/protocol.h"
@@ -456,9 +455,9 @@ int CmdServe(const Flags& flags) {
                opts.num_workers, opts.max_batch,
                static_cast<long long>(opts.max_delay_us), opts.queue_capacity);
 
-  // Handlers installed without SA_RESTART: a signal pops std::getline out
-  // of its blocking read with eof set, so the loop drains and returns.
-  Status session = serve::RunServeLoop(std::cin, std::cout, server);
+  // The session runs under the TCP contract on a listener-less
+  // NetServer; a shutdown signal ends it like EOF: drain, then return.
+  Status session = net::ServeStdio(STDIN_FILENO, STDOUT_FILENO, server);
   server.Stop();
   if (net::ShutdownRequested()) {
     std::fprintf(stderr, "kdsel serve: shutdown signal, drained\n");
