@@ -8,11 +8,10 @@
 // and speedups to BENCH_micro.json (see bench/bench_report.h).
 //
 // `bench_micro --report-kernels` times every compiled SIMD kernel
-// variant (scalar, generic, avx2 where supported) on a 256^3 MatMul, a
-// 256^3 int8 matmul, a Conv1d forward, and an end-to-end selector
-// forward (fp32 vs int8) at 1, 2 and 4 threads, writing
-// BENCH_kernels.json with per-entry `speedup_vs_scalar` metrics (and
-// `speedup_vs_fp32` on the int8 rows).
+// variant (scalar, generic, avx2 where supported) on a 256^3 MatMul and
+// a Conv1d forward at 1, 2 and 4 threads, plus an end-to-end selector
+// forward at 1 thread, writing BENCH_kernels.json with per-entry
+// `speedup_vs_scalar` metrics.
 
 #include <benchmark/benchmark.h>
 
@@ -39,7 +38,6 @@
 #include "nn/conv.h"
 #include "nn/kernels/kernels.h"
 #include "nn/layers.h"
-#include "nn/quantize.h"
 #include "nn/tensor.h"
 #include "selectors/backbone.h"
 #include "text/text_encoder.h"
@@ -288,23 +286,8 @@ int RunKernelsReportMode() {
   nn::Tensor cx({32, 16, 64});
   for (float& v : cx.mutable_data()) v = static_cast<float>(rng.Normal());
 
-  // Int8 operands for the quantized matmul, produced once: the int8
-  // kernels are bitwise-identical across variants, so one quantization
-  // feeds every variant's timing run.
-  std::vector<int8_t> qa(n * n), qb(n * n);
-  std::vector<float> requant(n);
-  nn::Tensor i8_out;
-  i8_out.Resize({n, n});
-  {
-    const float a_scale =
-        nn::QuantScaleFromAbsMax(nn::AbsMax(ma.raw(), ma.size()));
-    nn::kernels::Dispatch().i8_quantize(ma.raw(), 1.0f / a_scale, qa.data(),
-                                        ma.size());
-    nn::QuantizeWeightRows(mb.raw(), n, n, a_scale, qb.data(), requant.data());
-  }
-
   // End-to-end selector forward: ConvNet encoder + linear head over a
-  // [64, 64] window batch, timed fp32 vs int8 on the same weights.
+  // [64, 64] window batch.
   Rng srng(23);
   auto backbone = selectors::BuildBackbone("ConvNet", 64, srng);
   KDSEL_CHECK(backbone.ok());
@@ -315,16 +298,6 @@ int RunKernelsReportMode() {
     nn::Tensor z = (*backbone)->Forward(wx, /*training=*/false);
     benchmark::DoNotOptimize(classifier.Forward(z, /*training=*/false));
   };
-  std::vector<nn::Quantizable*> qlayers =
-      nn::CollectQuantizableLayers(**backbone);
-  classifier.CollectQuantizable(&qlayers);
-  // One calibration sweep up front; each variant's int8 row re-applies
-  // the recorded scales (weight quantization is deterministic).
-  for (nn::Quantizable* q : qlayers) q->BeginQuantCalibration();
-  selector_forward();
-  for (nn::Quantizable* q : qlayers) q->EndQuantCalibration();
-  const std::vector<float> act_scales = nn::CollectActivationScales(qlayers);
-  for (nn::Quantizable* q : qlayers) q->ClearQuantization();
 
   bench::BenchReport report("kernels");
   // Wall time of the scalar baseline, keyed "workload:threads" — scalar
@@ -345,7 +318,6 @@ int RunKernelsReportMode() {
       ThreadPool::ResetGlobalForTesting(threads);
       std::fprintf(stderr, "[bench_micro] kernels: %s at %zu threads\n",
                    tag.c_str(), threads);
-      double fp32_matmul_wall = 0.0;
       {
         bench::BenchEntry e;
         e.name = "matmul_256:" + tag;
@@ -355,35 +327,11 @@ int RunKernelsReportMode() {
         e.wall_seconds = TimePerCall(3, 5, [&] {
           benchmark::DoNotOptimize(nn::MatMul(ma, mb));
         });
-        fp32_matmul_wall = e.wall_seconds;
         const std::string key = "matmul:" + std::to_string(threads);
         if (variant == nn::kernels::Variant::kScalar) {
           scalar_wall[key] = e.wall_seconds;
         }
         vs_scalar(e, key);
-        report.Add(std::move(e));
-      }
-      {
-        bench::BenchEntry e;
-        e.name = "i8_matmul_256:" + tag;
-        e.threads = threads;
-        e.items = static_cast<double>(n * n * n);
-        e.items_unit = "multiply-adds";
-        e.wall_seconds = TimePerCall(3, 5, [&] {
-          nn::I8MatMulTbParallel(qa.data(), qb.data(), i8_out.raw(), n, n, n,
-                                 requant.data(), nullptr);
-          benchmark::DoNotOptimize(i8_out.raw());
-        });
-        const std::string key = "i8_matmul:" + std::to_string(threads);
-        if (variant == nn::kernels::Variant::kScalar) {
-          scalar_wall[key] = e.wall_seconds;
-        }
-        vs_scalar(e, key);
-        // The headline int8 claim: quantized vs fp32 matmul, same
-        // variant, same thread count.
-        if (fp32_matmul_wall > 0.0 && e.wall_seconds > 0.0) {
-          e.metrics["speedup_vs_fp32"] = fp32_matmul_wall / e.wall_seconds;
-        }
         report.Add(std::move(e));
       }
       {
@@ -403,33 +351,14 @@ int RunKernelsReportMode() {
       }
       if (threads == 1) {
         // End-to-end selector forward, single-thread: the serving-side
-        // view of the int8 win (includes windowing-free fp32 tails).
-        for (nn::Quantizable* q : qlayers) q->ClearQuantization();
-        double fp32_fwd_wall = 0.0;
-        {
-          bench::BenchEntry e;
-          e.name = "selector_forward_fp32:" + tag;
-          e.threads = threads;
-          e.items = 64.0;
-          e.items_unit = "windows";
-          e.wall_seconds = TimePerCall(3, 10, selector_forward);
-          fp32_fwd_wall = e.wall_seconds;
-          report.Add(std::move(e));
-        }
-        {
-          KDSEL_CHECK(nn::ApplyActivationScales(qlayers, act_scales).ok());
-          bench::BenchEntry e;
-          e.name = "selector_forward_int8:" + tag;
-          e.threads = threads;
-          e.items = 64.0;
-          e.items_unit = "windows";
-          e.wall_seconds = TimePerCall(3, 10, selector_forward);
-          if (fp32_fwd_wall > 0.0 && e.wall_seconds > 0.0) {
-            e.metrics["speedup_vs_fp32"] = fp32_fwd_wall / e.wall_seconds;
-          }
-          report.Add(std::move(e));
-          for (nn::Quantizable* q : qlayers) q->ClearQuantization();
-        }
+        // view of the kernels.
+        bench::BenchEntry e;
+        e.name = "selector_forward_fp32:" + tag;
+        e.threads = threads;
+        e.items = 64.0;
+        e.items_unit = "windows";
+        e.wall_seconds = TimePerCall(3, 10, selector_forward);
+        report.Add(std::move(e));
       }
     }
   }
@@ -446,13 +375,11 @@ int RunKernelsReportMode() {
   std::fprintf(stderr, "[bench_micro] wrote %s\n", path->c_str());
   for (const auto& e : report.entries()) {
     const auto vs_s = e.metrics.find("speedup_vs_scalar");
-    const auto vs_f = e.metrics.find("speedup_vs_fp32");
     std::fprintf(stderr,
                  "[bench_micro] %-28s %zu threads  %10.6fs  "
-                 "vs-scalar %.2fx  vs-fp32 %.2fx  vs-1t %.2fx\n",
+                 "vs-scalar %.2fx  vs-1t %.2fx\n",
                  e.name.c_str(), e.threads, e.wall_seconds,
                  vs_s != e.metrics.end() ? vs_s->second : 0.0,
-                 vs_f != e.metrics.end() ? vs_f->second : 0.0,
                  e.speedup_vs_1t);
   }
   return 0;

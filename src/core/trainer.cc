@@ -15,7 +15,6 @@
 #include "obs/trace.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
-#include "nn/quantize.h"
 #include "nn/serialize.h"
 
 namespace kdsel::core {
@@ -414,33 +413,6 @@ StatusOr<std::vector<int>> TrainedSelector::Predict(
   return out;
 }
 
-std::vector<nn::Quantizable*> TrainedSelector::QuantizableLayers() const {
-  auto* self = const_cast<TrainedSelector*>(this);
-  std::vector<nn::Quantizable*> layers =
-      nn::CollectQuantizableLayers(*self->backbone_);
-  self->classifier_->CollectQuantizable(&layers);
-  return layers;
-}
-
-StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::QuantizeInt8(
-    const std::vector<std::vector<float>>& calibration_windows) const {
-  if (calibration_windows.empty()) {
-    return Status::InvalidArgument("int8 calibration needs at least 1 window");
-  }
-  KDSEL_ASSIGN_OR_RETURN(auto quantized, Clone());
-  std::vector<nn::Quantizable*> layers = quantized->QuantizableLayers();
-  if (layers.empty()) {
-    return Status::FailedPrecondition("architecture has no quantizable layer");
-  }
-  for (nn::Quantizable* q : layers) q->BeginQuantCalibration();
-  // The calibration sweep is a plain inference pass: each layer records
-  // the absmax of the activations it will later quantize.
-  KDSEL_RETURN_NOT_OK(quantized->Logits(calibration_windows).status());
-  for (nn::Quantizable* q : layers) q->EndQuantCalibration();
-  quantized->int8_ = true;
-  return quantized;
-}
-
 StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Clone() const {
   Rng rng(0);  // Initialization is overwritten by the weight copy below.
   KDSEL_ASSIGN_OR_RETURN(
@@ -467,30 +439,18 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Clone() const {
     }
     *dst[i] = *src[i];
   }
-  auto clone = std::make_unique<TrainedSelector>(std::move(backbone),
-                                                 std::move(classifier),
-                                                 num_classes_, display_name_);
-  if (IsInt8()) {
-    // Re-quantize the clone from its (just copied) fp32 weights and the
-    // source's activation scales; weight quantization is deterministic,
-    // so the clone serves bit-identical int8 results.
-    KDSEL_RETURN_NOT_OK(nn::ApplyActivationScales(
-        clone->QuantizableLayers(),
-        nn::CollectActivationScales(QuantizableLayers())));
-    clone->int8_ = true;
-  }
-  return clone;
+  return std::make_unique<TrainedSelector>(std::move(backbone),
+                                           std::move(classifier), num_classes_,
+                                           display_name_);
 }
 
 Status TrainedSelector::Save(const std::string& prefix) const {
-  const bool int8 = IsInt8();
   std::ofstream meta(prefix + ".meta");
   if (!meta) return Status::IoError("cannot write " + prefix + ".meta");
   meta << "backbone=" << backbone_->name() << "\n";
   meta << "input_length=" << backbone_->input_length() << "\n";
   meta << "num_classes=" << num_classes_ << "\n";
   meta << "display_name=" << display_name_ << "\n";
-  if (int8) meta << "quant=int8\n";
   if (!meta) return Status::IoError("write failed: " + prefix + ".meta");
   meta.close();
 
@@ -498,17 +458,6 @@ Status TrainedSelector::Save(const std::string& prefix) const {
   for (nn::Parameter* p : backbone_->Parameters()) tensors.push_back(&p->value);
   for (nn::Tensor* t : backbone_->StateTensors()) tensors.push_back(t);
   for (nn::Parameter* p : classifier_->Parameters()) tensors.push_back(&p->value);
-  // Int8 checkpoints persist fp32 weights + the activation scales as one
-  // trailing tensor: weight quantization is deterministic, so the scales
-  // alone reproduce the quantized model bit-for-bit on load.
-  nn::Tensor scales;
-  if (int8) {
-    const std::vector<float> flat =
-        nn::CollectActivationScales(QuantizableLayers());
-    scales.Resize({flat.size()});
-    std::copy(flat.begin(), flat.end(), scales.raw());
-    tensors.push_back(&scales);
-  }
   return nn::WriteTensors(tensors, prefix + ".weights");
 }
 
@@ -518,7 +467,6 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Load(
   if (!meta) return Status::IoError("cannot read " + prefix + ".meta");
   std::string backbone_name, display_name = "NN-selector";
   size_t input_length = 0, num_classes = 0;
-  bool int8 = false;
   // Strict digit parsing: corrupt metadata must surface as a Status, not
   // as a std::stoul exception escaping the library.
   auto parse_size = [](const std::string& value, size_t& out) {
@@ -540,11 +488,10 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Load(
       return Status::IoError("invalid num_classes in selector meta file");
     }
     if (key == "display_name") display_name = value;
+    // Selectors run fp32 only: any quant mode is rejected rather than
+    // loaded as weights it does not describe.
     if (key == "quant") {
-      if (value != "int8") {
-        return Status::IoError("unsupported quant mode in selector meta file");
-      }
-      int8 = true;
+      return Status::IoError("unsupported quant mode in selector meta file");
     }
   }
   if (backbone_name.empty() || input_length == 0 || num_classes == 0) {
@@ -562,10 +509,7 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Load(
   for (nn::Parameter* p : backbone->Parameters()) targets.push_back(&p->value);
   for (nn::Tensor* t : backbone->StateTensors()) targets.push_back(t);
   for (nn::Parameter* p : classifier->Parameters()) targets.push_back(&p->value);
-  // Int8 checkpoints carry one trailing activation-scales tensor past the
-  // fp32 weights (see Save).
-  const size_t expected = targets.size() + (int8 ? 1 : 0);
-  if (expected != tensors.size()) {
+  if (targets.size() != tensors.size()) {
     return Status::FailedPrecondition("checkpoint/architecture mismatch");
   }
   for (size_t i = 0; i < targets.size(); ++i) {
@@ -574,17 +518,9 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Load(
     }
     *targets[i] = std::move(tensors[i]);
   }
-  auto selector = std::make_unique<TrainedSelector>(std::move(backbone),
-                                                    std::move(classifier),
-                                                    num_classes, display_name);
-  if (int8) {
-    const nn::Tensor& scales = tensors.back();
-    KDSEL_RETURN_NOT_OK(nn::ApplyActivationScales(
-        selector->QuantizableLayers(),
-        std::vector<float>(scales.raw(), scales.raw() + scales.size())));
-    selector->int8_ = true;
-  }
-  return selector;
+  return std::make_unique<TrainedSelector>(std::move(backbone),
+                                           std::move(classifier), num_classes,
+                                           display_name);
 }
 
 StatusOr<std::unique_ptr<TrainedSelector>> TrainSelector(

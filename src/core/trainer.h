@@ -121,42 +121,22 @@ class TrainedSelector : public selectors::Selector {
   /// Deep copy: rebuilds the architecture and copies every parameter and
   /// state tensor. Serving needs no copies: inference forwards write no
   /// module state, so any number of threads may run Predict/Encode/
-  /// Logits on one instance at once. Int8 quantization carries over: a
-  /// clone of a quantized selector serves int8.
+  /// Logits on one instance at once.
   StatusOr<std::unique_ptr<TrainedSelector>> Clone() const;
-
-  /// Post-training int8 quantization: clones this selector, runs an
-  /// inference calibration sweep over `calibration_windows` to record
-  /// per-tensor activation ranges, then quantizes every Linear/Conv1d/
-  /// attention projection to int8 with per-output-channel weight scales.
-  /// The original selector is untouched; training state does not carry
-  /// over (the quantized copy is inference-only in practice, though its
-  /// fp32 master weights remain intact).
-  StatusOr<std::unique_ptr<TrainedSelector>> QuantizeInt8(
-      const std::vector<std::vector<float>>& calibration_windows) const;
-
-  /// True when the selector runs int8 inference. O(1): a flag set where
-  /// quantization is applied (QuantizeInt8, and Clone/Load of an int8
-  /// selector), so the serve batch path can ask on every batch.
-  bool IsInt8() const { return int8_; }
 
   /// Persists architecture info + weights as `<prefix>.meta` and
   /// `<prefix>.weights`.
   Status Save(const std::string& prefix) const;
-  /// Restores a selector saved with Save.
+  /// Restores a selector saved with Save. A `.meta` carrying a `quant=`
+  /// key is rejected with IoError: selectors run fp32 only.
   static StatusOr<std::unique_ptr<TrainedSelector>> Load(
       const std::string& prefix);
 
  private:
-  /// Quantizable layers in serialization order (backbone depth-first,
-  /// then classifier). Collection mutates nothing, hence the const_cast.
-  std::vector<nn::Quantizable*> QuantizableLayers() const;
-
   std::unique_ptr<selectors::Backbone> backbone_;
   std::unique_ptr<nn::Linear> classifier_;
   size_t num_classes_;
   std::string display_name_;
-  bool int8_ = false;  // see IsInt8
 };
 
 /// Trains an NN selector with the KDSelector framework (paper Fig. 2):

@@ -464,23 +464,16 @@ void NetServer::ProcessLine(
       const int64_t id = request.id;
       const int fd = conn.fd;
       const uint64_t gen = conn.gen;
-      // ".int8" names route to the quantized sibling (protocol variant
-      // rewrite); attribute the request in the flight recorder.
-      const bool int8_variant =
-          request.selector.size() >= 5 &&
-          request.selector.compare(request.selector.size() - 5, 5, ".int8") ==
-              0;
       std::string trace_echo(trace);
       Shard* shard_ptr = &shard;
       const bool slo = options_.slo_ms > 0.0;
       item.done = [this, shard_ptr, fd, gen, seq, id, labeled, want_scores,
-                   int8_variant, trace_echo = std::move(trace_echo),
+                   trace_echo = std::move(trace_echo),
                    slo](StatusOr<serve::SelectResponse> response) {
         Completion completion;
         completion.fd = fd;
         completion.gen = gen;
         completion.seq = seq;
-        completion.int8_variant = int8_variant;
         if (response.ok()) {
           if (slo) shedder_.RecordLatency(response->timing.total_us);
           const serve::RequestTiming& timing = response->timing;
@@ -524,6 +517,11 @@ void NetServer::ReadReady(
     }
     if (n == 0) {
       conn.stop_reading = true;  // EOF; half-close: keep flushing replies.
+      // The FIN also ends the last line: one sent without its '\n'
+      // still gets exactly one reply (or the overflow error).
+      if (!conn.rbuf.empty() && conn.rbuf.back() != '\n') {
+        conn.rbuf.push_back('\n');
+      }
       break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -627,7 +625,6 @@ void NetServer::DrainCompletions(Shard& shard) {
                    0.0));
     }
     slot.meta.verdict = completion.verdict;
-    slot.meta.int8_variant = completion.int8_variant;
     --conn.pending;
   }
 }
@@ -744,7 +741,6 @@ void NetServer::RecordFlushed(const ReqMeta& meta, int64_t flushed_us) {
   obs::FlightRecord record;
   std::memcpy(record.trace, meta.trace, sizeof(record.trace));
   record.verdict = meta.verdict;
-  record.int8_variant = meta.int8_variant;
   record.total_us =
       static_cast<double>(std::max<int64_t>(flushed_us - meta.ingress_us, 0));
   if (meta.verdict == obs::FlightRecord::Verdict::kOk) {
@@ -913,7 +909,6 @@ Status ServeStdio(int in_fd, int out_fd, serve::InferenceServer& server) {
   char out_buf[64 * 1024];
   size_t in_len = 0;
   size_t in_off = 0;
-  char last = '\n';     // Last input byte read.
   bool reading = true;  // No EOF, read error or shutdown signal yet.
   bool half_closed = false;
   for (;;) {
@@ -938,15 +933,8 @@ Status ServeStdio(int in_fd, int out_fd, serve::InferenceServer& server) {
       if (n > 0) {
         in_len = static_cast<size_t>(n);
         in_off = 0;
-        last = in_buf[n - 1];
       } else if (n == 0 || errno != EINTR) {
         reading = false;
-        // An unterminated last line still counts as a request.
-        if (n == 0 && last != '\n') {
-          in_buf[0] = last = '\n';
-          in_len = 1;
-          in_off = 0;
-        }
       }
     }
     if (fds[1].revents & POLLOUT) {

@@ -139,7 +139,6 @@ class NetServer {
     float batch_wait_us = 0.0f;  ///< Submit -> micro-batch formed.
     float compute_us = 0.0f;     ///< Worker dequeue -> response ready.
     obs::FlightRecord::Verdict verdict = obs::FlightRecord::Verdict::kError;
-    bool int8_variant = false;
     bool traced = false;  ///< Record stage metrics + flight on flush.
   };
 
@@ -188,7 +187,6 @@ class NetServer {
     float batch_wait_us = 0.0f;
     float compute_us = 0.0f;
     obs::FlightRecord::Verdict verdict = obs::FlightRecord::Verdict::kError;
-    bool int8_variant = false;
   };
 
   struct Shard {

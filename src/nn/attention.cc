@@ -136,21 +136,13 @@ void MultiHeadSelfAttention::AttentionCore(const Tensor& q, const Tensor& k,
 
 Tensor MultiHeadSelfAttention::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() == 3 && input.dim(2) == dim_);
-  if (!training && !calibrating_ && quantized_) return ForwardInt8(input);
   const size_t B = input.dim(0), T = input.dim(1);
   Tensor flat = input.Reshaped({B * T, dim_});
-  if (calibrating_ && !training) {
-    in_absmax_ = std::max(in_absmax_, AbsMax(flat.raw(), flat.size()));
-  }
   Tensor q = MatMulTransposedB(flat, wq_.value).Reshaped({B, T, dim_});
   Tensor k = MatMulTransposedB(flat, wk_.value).Reshaped({B, T, dim_});
   Tensor v = MatMulTransposedB(flat, wv_.value).Reshaped({B, T, dim_});
   Tensor attn, concat;
   AttentionCore(q, k, v, &attn, &concat);
-  if (calibrating_ && !training) {
-    concat_absmax_ =
-        std::max(concat_absmax_, AbsMax(concat.raw(), concat.size()));
-  }
   Tensor out = MatMulTransposedB(concat.Reshaped({B * T, dim_}), wo_.value);
   if (training) {
     cached_input_ = input;
@@ -161,93 +153,6 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& input, bool training) {
     cached_concat_ = std::move(concat);
   }
   return out.Reshaped({B, T, dim_});
-}
-
-Tensor MultiHeadSelfAttention::ForwardInt8(const Tensor& input) const {
-  const size_t B = input.dim(0), T = input.dim(1);
-  const size_t rows = B * T;
-  const kernels::Ops& ops = kernels::Dispatch();
-  // Quantize the flat input once; it feeds all three projections.
-  ScratchBuffer iq_buf((rows * dim_ + 3) / 4);
-  int8_t* iq = reinterpret_cast<int8_t*>(iq_buf.data());
-  ops.i8_quantize(input.raw(), 1.0f / in_scale_, iq, rows * dim_);
-  Tensor q, k, v;
-  q.Resize({B, T, dim_});
-  k.Resize({B, T, dim_});
-  v.Resize({B, T, dim_});
-  I8MatMulTbParallel(iq, wq_q_.data(), q.raw(), rows, dim_, dim_,
-                     rq_q_.data(), nullptr);
-  I8MatMulTbParallel(iq, wk_q_.data(), k.raw(), rows, dim_, dim_,
-                     rq_k_.data(), nullptr);
-  I8MatMulTbParallel(iq, wv_q_.data(), v.raw(), rows, dim_, dim_,
-                     rq_v_.data(), nullptr);
-
-  Tensor attn, concat;
-  AttentionCore(q, k, v, &attn, &concat);
-
-  ScratchBuffer cq_buf((rows * dim_ + 3) / 4);
-  int8_t* cq = reinterpret_cast<int8_t*>(cq_buf.data());
-  ops.i8_quantize(concat.raw(), 1.0f / concat_scale_, cq, rows * dim_);
-  Tensor out;
-  out.Resize({B, T, dim_});
-  I8MatMulTbParallel(cq, wo_q_.data(), out.raw(), rows, dim_, dim_,
-                     rq_o_.data(), nullptr);
-  return out;
-}
-
-void MultiHeadSelfAttention::BeginQuantCalibration() {
-  ClearQuantization();
-  calibrating_ = true;
-}
-
-void MultiHeadSelfAttention::EndQuantCalibration() {
-  QuantizeWithScales({QuantScaleFromAbsMax(in_absmax_),
-                      QuantScaleFromAbsMax(concat_absmax_)});
-}
-
-std::vector<float> MultiHeadSelfAttention::ActivationScales() const {
-  KDSEL_CHECK(quantized_);
-  return {in_scale_, concat_scale_};
-}
-
-void MultiHeadSelfAttention::QuantizeWithScales(
-    const std::vector<float>& scales) {
-  KDSEL_CHECK(scales.size() == 2 && scales[0] > 0.0f && scales[1] > 0.0f);
-  in_scale_ = scales[0];
-  concat_scale_ = scales[1];
-  wq_q_.resize(dim_ * dim_);
-  wk_q_.resize(dim_ * dim_);
-  wv_q_.resize(dim_ * dim_);
-  wo_q_.resize(dim_ * dim_);
-  rq_q_.resize(dim_);
-  rq_k_.resize(dim_);
-  rq_v_.resize(dim_);
-  rq_o_.resize(dim_);
-  QuantizeWeightRows(wq_.value.raw(), dim_, dim_, in_scale_, wq_q_.data(),
-                     rq_q_.data());
-  QuantizeWeightRows(wk_.value.raw(), dim_, dim_, in_scale_, wk_q_.data(),
-                     rq_k_.data());
-  QuantizeWeightRows(wv_.value.raw(), dim_, dim_, in_scale_, wv_q_.data(),
-                     rq_v_.data());
-  QuantizeWeightRows(wo_.value.raw(), dim_, dim_, concat_scale_, wo_q_.data(),
-                     rq_o_.data());
-  calibrating_ = false;
-  quantized_ = true;
-}
-
-void MultiHeadSelfAttention::ClearQuantization() {
-  quantized_ = false;
-  calibrating_ = false;
-  in_absmax_ = concat_absmax_ = 0.0f;
-  in_scale_ = concat_scale_ = 0.0f;
-  for (auto* v : {&wq_q_, &wk_q_, &wv_q_, &wo_q_}) {
-    v->clear();
-    v->shrink_to_fit();
-  }
-  for (auto* v : {&rq_q_, &rq_k_, &rq_v_, &rq_o_}) {
-    v->clear();
-    v->shrink_to_fit();
-  }
 }
 
 Tensor MultiHeadSelfAttention::Backward(const Tensor& grad_output) {

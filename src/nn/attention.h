@@ -1,13 +1,11 @@
 #ifndef KDSEL_NN_ATTENTION_H_
 #define KDSEL_NN_ATTENTION_H_
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "nn/layers.h"
 #include "nn/module.h"
-#include "nn/quantize.h"
 
 namespace kdsel::nn {
 
@@ -31,36 +29,21 @@ class LayerNorm : public Module {
 
 /// Multi-head self-attention over [B, T, D] (post-norm omitted; this is
 /// the bare attention sublayer). D must be divisible by num_heads.
-/// Int8 inference quantizes the four projections (the O(D^2) work); the
-/// attention core — QK^T, softmax, PV — stays fp32. Two activation
-/// scales: the flat input (feeds Wq/Wk/Wv) and the concat (feeds Wo).
-class MultiHeadSelfAttention : public Module, public Quantizable {
+class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(size_t dim, size_t num_heads, Rng& rng);
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
-  void CollectQuantizable(std::vector<Quantizable*>* out) override {
-    out->push_back(this);
-  }
-
-  void BeginQuantCalibration() override;
-  void EndQuantCalibration() override;
-  size_t NumActivationScales() const override { return 2; }
-  std::vector<float> ActivationScales() const override;
-  void QuantizeWithScales(const std::vector<float>& scales) override;
-  void ClearQuantization() override;
-  bool IsQuantized() const override { return quantized_; }
 
  private:
-  /// Shared fp32 attention core (both the fp32 and int8 paths run it):
-  /// softmaxed scores [B, H, T, T] into *attn and the pre-Wo head
-  /// concat [B, T, D] into *concat, from q/k/v [B, T, D]. Writes no
-  /// member, so inference keeps its q/k/v/attn/concat in locals.
+  /// The attention core: softmaxed scores [B, H, T, T] into *attn and
+  /// the pre-Wo head concat [B, T, D] into *concat, from q/k/v
+  /// [B, T, D]. Writes no member, so inference keeps its
+  /// q/k/v/attn/concat in locals.
   void AttentionCore(const Tensor& q, const Tensor& k, const Tensor& v,
                      Tensor* attn, Tensor* concat) const;
-  Tensor ForwardInt8(const Tensor& input) const;
 
   size_t dim_;
   size_t num_heads_;
@@ -71,13 +54,6 @@ class MultiHeadSelfAttention : public Module, public Quantizable {
   Tensor cached_q_, cached_k_, cached_v_;  // [B, T, D]
   Tensor cached_attn_;                  // [B, H, T, T] softmaxed
   Tensor cached_concat_;                // [B, T, D] pre-Wo
-  // Int8 inference state; empty/false unless quantized.
-  bool quantized_ = false;
-  bool calibrating_ = false;
-  float in_absmax_ = 0.0f, concat_absmax_ = 0.0f;
-  float in_scale_ = 0.0f, concat_scale_ = 0.0f;
-  std::vector<int8_t> wq_q_, wk_q_, wv_q_, wo_q_;     // each [D, D]
-  std::vector<float> rq_q_, rq_k_, rq_v_, rq_o_;      // each [D]
 };
 
 /// One pre-norm Transformer encoder block:
@@ -91,11 +67,6 @@ class TransformerEncoderBlock : public Module {
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
-  void CollectQuantizable(std::vector<Quantizable*>* out) override {
-    attn_.CollectQuantizable(out);
-    ffn1_.CollectQuantizable(out);
-    ffn2_.CollectQuantizable(out);
-  }
 
  private:
   size_t dim_;

@@ -48,15 +48,9 @@ Tensor Conv1d::Forward(const Tensor& input, bool training) {
   KDSEL_SPAN("nn.conv1d.forward");
   KDSEL_CHECK(input.rank() == 3 && input.dim(1) == in_channels_);
   // Only a training forward is followed by Backward, so only it caches
-  // the input; an inference forward writes no member (the calibration
-  // absmax aside), which lets concurrent forwards share one module.
-  if (training) {
-    cached_input_ = input;
-  } else if (calibrating_) {
-    act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
-  } else if (quantized_) {
-    return ForwardInt8(input);
-  }
+  // the input; an inference forward writes no member, which lets
+  // concurrent forwards share one module.
+  if (training) cached_input_ = input;
   const size_t B = input.dim(0), L = input.dim(2);
   const size_t K = kernel_size_;
   Tensor out;
@@ -76,100 +70,6 @@ Tensor Conv1d::Forward(const Tensor& input, bool training) {
                        out_channels_, K, L, b_begin, b_end);
   });
   return out;
-}
-
-Tensor Conv1d::ForwardInt8(const Tensor& input) const {
-  KDSEL_SPAN("nn.conv1d.forward_int8");
-  const size_t B = input.dim(0), L = input.dim(2);
-  const size_t K = kernel_size_;
-  const size_t CK = in_channels_ * K;
-  const ptrdiff_t pad = static_cast<ptrdiff_t>((K - 1) / 2);
-  Tensor out;
-  out.Resize({B, out_channels_, L});
-  const kernels::Ops& ops = kernels::Dispatch();
-  const float* x = input.raw();
-  float* y = out.raw();
-  const float inv_scale = 1.0f / act_scale_;
-  const float* bias = use_bias_ ? bias_.value.raw() : nullptr;
-  // im2col per batch item: quantize [C_in, L] once, then gather the K
-  // taps of each output position into a [L, C_in*K] int8 row block and
-  // run the dequantizing matmul against the [C_out, C_in*K] weights.
-  // Each batch item writes a disjoint slice of `out`, so batch-parallel
-  // execution stays race-free and bitwise-deterministic; the int8
-  // accumulation itself is exact, so chunking cannot change results.
-  ParallelFor(B, 1, [&](size_t b_begin, size_t b_end) {
-    // Pool-backed scratch (4 int8 lanes per float slot), per chunk.
-    ScratchBuffer xq_buf((in_channels_ * L + 3) / 4);
-    ScratchBuffer col_buf((L * CK + 3) / 4);
-    ScratchBuffer tile(L * out_channels_);  // [L, C_out] pre-transpose
-    int8_t* xq = reinterpret_cast<int8_t*>(xq_buf.data());
-    int8_t* col = reinterpret_cast<int8_t*>(col_buf.data());
-    for (size_t b = b_begin; b < b_end; ++b) {
-      ops.i8_quantize(x + b * in_channels_ * L, inv_scale, xq,
-                      in_channels_ * L);
-      for (size_t t = 0; t < L; ++t) {
-        int8_t* crow = col + t * CK;
-        for (size_t ci = 0; ci < in_channels_; ++ci) {
-          const int8_t* xrow = xq + ci * L;
-          for (size_t k = 0; k < K; ++k) {
-            const ptrdiff_t src =
-                static_cast<ptrdiff_t>(t) + static_cast<ptrdiff_t>(k) - pad;
-            crow[ci * K + k] =
-                (src >= 0 && src < static_cast<ptrdiff_t>(L))
-                    ? xrow[static_cast<size_t>(src)]
-                    : int8_t{0};
-          }
-        }
-      }
-      ops.i8_matmul_tb(col, weight_q_.data(), tile.data(), CK, out_channels_,
-                       requant_scale_.data(), bias, 0, L);
-      float* yb = y + b * out_channels_ * L;
-      for (size_t t = 0; t < L; ++t) {
-        const float* trow = tile.data() + t * out_channels_;
-        for (size_t co = 0; co < out_channels_; ++co) yb[co * L + t] = trow[co];
-      }
-    }
-  });
-  return out;
-}
-
-void Conv1d::BeginQuantCalibration() {
-  ClearQuantization();
-  calibrating_ = true;
-}
-
-void Conv1d::EndQuantCalibration() {
-  QuantizeWithScales({QuantScaleFromAbsMax(act_absmax_)});
-}
-
-std::vector<float> Conv1d::ActivationScales() const {
-  KDSEL_CHECK(quantized_);
-  return {act_scale_};
-}
-
-void Conv1d::QuantizeWithScales(const std::vector<float>& scales) {
-  KDSEL_CHECK(scales.size() == 1 && scales[0] > 0.0f);
-  act_scale_ = scales[0];
-  const size_t CK = in_channels_ * kernel_size_;
-  weight_q_.resize(out_channels_ * CK);
-  requant_scale_.resize(out_channels_);
-  // Weight rows [C_out, C_in, K] are contiguous [C_out, C_in*K] blocks —
-  // exactly the im2col contraction layout.
-  QuantizeWeightRows(weight_.value.raw(), out_channels_, CK, act_scale_,
-                     weight_q_.data(), requant_scale_.data());
-  calibrating_ = false;
-  quantized_ = true;
-}
-
-void Conv1d::ClearQuantization() {
-  quantized_ = false;
-  calibrating_ = false;
-  act_absmax_ = 0.0f;
-  act_scale_ = 0.0f;
-  weight_q_.clear();
-  weight_q_.shrink_to_fit();
-  requant_scale_.clear();
-  requant_scale_.shrink_to_fit();
 }
 
 Tensor Conv1d::Backward(const Tensor& grad_output) {

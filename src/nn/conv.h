@@ -5,16 +5,12 @@
 #include <vector>
 
 #include "nn/module.h"
-#include "nn/quantize.h"
 
 namespace kdsel::nn {
 
 /// 1-D convolution over [B, C_in, L] -> [B, C_out, L] with stride 1 and
 /// "same" zero padding (pad = (K-1)/2 left, K/2 right for even K).
-/// Supports int8 inference via im2col (nn/quantize.h): symmetric scales
-/// make the zero padding exact (zero-point 0), so the int8 path sees the
-/// same padded taps as fp32.
-class Conv1d : public Module, public Quantizable {
+class Conv1d : public Module {
  public:
   Conv1d(size_t in_channels, size_t out_channels, size_t kernel_size,
          Rng& rng, bool use_bias = true);
@@ -22,25 +18,12 @@ class Conv1d : public Module, public Quantizable {
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
-  void CollectQuantizable(std::vector<Quantizable*>* out) override {
-    out->push_back(this);
-  }
-
-  void BeginQuantCalibration() override;
-  void EndQuantCalibration() override;
-  size_t NumActivationScales() const override { return 1; }
-  std::vector<float> ActivationScales() const override;
-  void QuantizeWithScales(const std::vector<float>& scales) override;
-  void ClearQuantization() override;
-  bool IsQuantized() const override { return quantized_; }
 
   size_t in_channels() const { return in_channels_; }
   size_t out_channels() const { return out_channels_; }
   size_t kernel_size() const { return kernel_size_; }
 
  private:
-  Tensor ForwardInt8(const Tensor& input) const;
-
   size_t in_channels_;
   size_t out_channels_;
   size_t kernel_size_;
@@ -48,13 +31,6 @@ class Conv1d : public Module, public Quantizable {
   Parameter weight_;  // [C_out, C_in, K]
   Parameter bias_;    // [C_out]
   Tensor cached_input_;
-  // Int8 inference state; empty/false unless quantized.
-  bool quantized_ = false;
-  bool calibrating_ = false;
-  float act_absmax_ = 0.0f;
-  float act_scale_ = 0.0f;
-  std::vector<int8_t> weight_q_;      // [C_out, C_in*K]
-  std::vector<float> requant_scale_;  // [C_out]
 };
 
 /// Batch normalization over the channel dimension. Accepts [B, C, L]

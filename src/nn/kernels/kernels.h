@@ -2,7 +2,6 @@
 #define KDSEL_NN_KERNELS_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -102,29 +101,6 @@ struct Ops {
   void (*adam_update)(float* p, float* m, float* v, const float* g, size_t n,
                       float lr, float beta1, float beta2, float eps,
                       double lr_wd);
-
-  // --- Int8 inference kernels (quantized selector forward pass). ---
-  // Integer accumulation is exact, so unlike the fp32 kernels these
-  // produce bitwise-identical results across every variant.
-
-  /// q[i] = clamp(round_nearest_even(x[i] * inv_scale), -127, 127).
-  /// Symmetric quantization; -128 is excluded so signed products keep
-  /// the i16 headroom the AVX2 maddubs path relies on.
-  void (*i8_quantize)(const float* x, float inv_scale, int8_t* q, size_t n);
-  /// C[i0:i1, :] = dequant(Aq[i0:i1, :] * Bq^T) with Aq:[n,k] int8,
-  /// Bq:[m,k] int8, C:[n,m] float. acc_ij is exact in int32; the fused
-  /// per-output-column requantize is C[i][j] = fmaf(scale[j], acc_ij,
-  /// bias[j]) (bias == nullptr drops the addend). Overwrites its output
-  /// rows.
-  void (*i8_matmul_tb)(const int8_t* a, const int8_t* b, float* c, size_t k,
-                       size_t m, const float* scale, const float* bias,
-                       size_t i0, size_t i1);
-  /// sum_i a[i] * b[i], exact in int32.
-  int32_t (*i8_dot)(const int8_t* a, const int8_t* b, size_t n);
-
-  /// Human-readable int8 implementation behind this table ("i8-scalar"
-  /// reference loops or "i8-maddubs"); surfaced by `kdsel version`.
-  const char* i8_impl;
 };
 
 /// The active kernel table. Resolved once (CPUID best, overridable via

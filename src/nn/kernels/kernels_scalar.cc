@@ -199,8 +199,6 @@ KDSEL_HOT void AdamUpdate(float* p, float* m, float* v, const float* g, size_t n
   }
 }
 
-#include "nn/kernels/kernels_i8_ref.inc"
-
 }  // namespace
 
 const Ops kOps = {
@@ -221,10 +219,6 @@ const Ops kOps = {
     Conv1dForward,
     SoftmaxRow,
     AdamUpdate,
-    I8Quantize,
-    I8MatMulTb,
-    I8Dot,
-    kI8ImplName,
 };
 
 }  // namespace scalar

@@ -20,13 +20,7 @@ Linear::Linear(size_t in_features, size_t out_features, Rng& rng)
 Tensor Linear::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() == 2 && input.dim(1) == in_features_);
   // Only a training forward is followed by Backward (see Conv1d).
-  if (training) {
-    cached_input_ = input;
-  } else if (calibrating_) {
-    act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
-  } else if (quantized_) {
-    return ForwardInt8(input);
-  }
+  if (training) cached_input_ = input;
   Tensor out = MatMulTransposedB(input, weight_.value);  // [B, out]
   const kernels::Ops& ops = kernels::Dispatch();
   const size_t b = out.dim(0);
@@ -34,57 +28,6 @@ Tensor Linear::Forward(const Tensor& input, bool training) {
     ops.add(out.raw() + i * out_features_, bias_.value.raw(), out_features_);
   }
   return out;
-}
-
-Tensor Linear::ForwardInt8(const Tensor& input) const {
-  const kernels::Ops& ops = kernels::Dispatch();
-  const size_t b = input.dim(0);
-  // Pool-backed int8 scratch for the quantized activations (the pool
-  // stores floats; 4 int8 lanes per float slot).
-  ScratchBuffer iq_buf((b * in_features_ + 3) / 4);
-  int8_t* iq = reinterpret_cast<int8_t*>(iq_buf.data());
-  ops.i8_quantize(input.raw(), 1.0f / act_scale_, iq, b * in_features_);
-  Tensor out;
-  out.Resize({b, out_features_});
-  I8MatMulTbParallel(iq, weight_q_.data(), out.raw(), b, in_features_,
-                     out_features_, requant_scale_.data(), bias_.value.raw());
-  return out;
-}
-
-void Linear::BeginQuantCalibration() {
-  ClearQuantization();
-  calibrating_ = true;
-}
-
-void Linear::EndQuantCalibration() {
-  QuantizeWithScales({QuantScaleFromAbsMax(act_absmax_)});
-}
-
-std::vector<float> Linear::ActivationScales() const {
-  KDSEL_CHECK(quantized_);
-  return {act_scale_};
-}
-
-void Linear::QuantizeWithScales(const std::vector<float>& scales) {
-  KDSEL_CHECK(scales.size() == 1 && scales[0] > 0.0f);
-  act_scale_ = scales[0];
-  weight_q_.resize(out_features_ * in_features_);
-  requant_scale_.resize(out_features_);
-  QuantizeWeightRows(weight_.value.raw(), out_features_, in_features_,
-                     act_scale_, weight_q_.data(), requant_scale_.data());
-  calibrating_ = false;
-  quantized_ = true;
-}
-
-void Linear::ClearQuantization() {
-  quantized_ = false;
-  calibrating_ = false;
-  act_absmax_ = 0.0f;
-  act_scale_ = 0.0f;
-  weight_q_.clear();
-  weight_q_.shrink_to_fit();
-  requant_scale_.clear();
-  requant_scale_.shrink_to_fit();
 }
 
 Tensor Linear::Backward(const Tensor& grad_output) {

@@ -34,10 +34,6 @@ std::vector<Tensor*> Sequential::StateTensors() {
   return state;
 }
 
-void Sequential::CollectQuantizable(std::vector<Quantizable*>* out) {
-  for (auto& m : modules_) m->CollectQuantizable(out);
-}
-
 void InitHeNormal(Tensor& w, size_t fan_in, Rng& rng) {
   const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
   for (float& v : w.mutable_data()) {

@@ -10,8 +10,6 @@
 
 namespace kdsel::nn {
 
-class Quantizable;
-
 /// A learnable tensor with its accumulated gradient.
 struct Parameter {
   std::string name;
@@ -37,10 +35,7 @@ struct Parameter {
 ///
 /// An inference `Forward` (`training == false`) writes no module member,
 /// so any number of threads may run inference forwards on one module at
-/// once while nothing trains it. The only exception is int8 calibration
-/// (nn/quantize.h): between BeginQuantCalibration and
-/// EndQuantCalibration an inference forward records activation absmax,
-/// which TrainedSelector::QuantizeInt8 does on a private copy.
+/// once while nothing trains it.
 class Module {
  public:
   virtual ~Module() = default;
@@ -58,13 +53,6 @@ class Module {
   /// Non-trainable state that must persist with the model (e.g. batch-norm
   /// running statistics). Serialized alongside parameters.
   virtual std::vector<Tensor*> StateTensors() { return {}; }
-
-  /// Appends the int8-quantizable layers inside this module, depth-first
-  /// in declaration order — the deterministic order activation scales
-  /// serialize in (see nn/quantize.h). Default: none.
-  virtual void CollectQuantizable(std::vector<Quantizable*>* out) {
-    (void)out;
-  }
 };
 
 /// Chains modules; Forward runs them in order, Backward in reverse.
@@ -84,7 +72,6 @@ class Sequential : public Module {
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
   std::vector<Tensor*> StateTensors() override;
-  void CollectQuantizable(std::vector<Quantizable*>* out) override;
 
   size_t size() const { return modules_.size(); }
 

@@ -44,8 +44,6 @@ void AppendRecord(std::string& out, const FlightRecord& record) {
   AppendQuoted(out, record.trace);
   out += ",\"verdict\":\"";
   out += FlightVerdictName(record.verdict);
-  out += "\",\"variant\":\"";
-  out += record.int8_variant ? "int8" : "fp32";
   out += "\",\"queue_us\":";
   AppendNumber(out, record.queue_us);
   out += ",\"batch_wait_us\":";

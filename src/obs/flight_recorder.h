@@ -35,7 +35,6 @@ struct FlightRecord {
   double write_us = 0.0;         ///< Response ready -> reply flushed.
   double total_us = 0.0;         ///< Ingress -> reply flushed.
   Verdict verdict = Verdict::kOk;
-  bool int8_variant = false;  ///< Served by the int8 selector sibling.
 };
 
 const char* FlightVerdictName(FlightRecord::Verdict verdict);
@@ -72,7 +71,7 @@ class FlightRecorder {
 
   /// Point-in-time dump as JSON text:
   ///   {"recorded":N,
-  ///    "recent":[{"trace":..,"verdict":..,"variant":..,stage timings}],
+  ///    "recent":[{"trace":..,"verdict":..,stage timings}],
   ///    "slowest":[...]}
   /// `recent` is oldest-to-newest within the retained tail; `slowest`
   /// is descending by total_us. Valid JSON, spliceable into larger

@@ -37,12 +37,6 @@ class ResidualBlock : public nn::Module {
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
   std::vector<nn::Parameter*> Parameters() override;
   std::vector<nn::Tensor*> StateTensors() override;
-  void CollectQuantizable(std::vector<nn::Quantizable*>* out) override {
-    conv1_.CollectQuantizable(out);
-    conv2_.CollectQuantizable(out);
-    conv3_.CollectQuantizable(out);
-    if (shortcut_conv_) shortcut_conv_->CollectQuantizable(out);
-  }
 
  private:
   nn::Conv1d conv1_, conv2_, conv3_;
@@ -68,14 +62,6 @@ class InceptionModule : public nn::Module {
 
   size_t out_channels() const { return 4 * filters_; }
 
-  void CollectQuantizable(std::vector<nn::Quantizable*>* out) override {
-    bottleneck_.CollectQuantizable(out);
-    branch1_.CollectQuantizable(out);
-    branch2_.CollectQuantizable(out);
-    branch3_.CollectQuantizable(out);
-    pool_conv_.CollectQuantizable(out);
-  }
-
  private:
   size_t filters_;
   nn::Conv1d bottleneck_;
@@ -99,9 +85,6 @@ class ConvNetBackbone : public Backbone {
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
   std::vector<nn::Parameter*> Parameters() override { return seq_.Parameters(); }
   std::vector<nn::Tensor*> StateTensors() override { return seq_.StateTensors(); }
-  void CollectQuantizable(std::vector<nn::Quantizable*>* out) override {
-    seq_.CollectQuantizable(out);
-  }
 
  private:
   size_t input_length_;
@@ -122,9 +105,6 @@ class ResNetBackbone : public Backbone {
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
   std::vector<nn::Parameter*> Parameters() override { return seq_.Parameters(); }
   std::vector<nn::Tensor*> StateTensors() override { return seq_.StateTensors(); }
-  void CollectQuantizable(std::vector<nn::Quantizable*>* out) override {
-    seq_.CollectQuantizable(out);
-  }
 
  private:
   size_t input_length_;
@@ -145,9 +125,6 @@ class InceptionTimeBackbone : public Backbone {
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
   std::vector<nn::Parameter*> Parameters() override { return seq_.Parameters(); }
   std::vector<nn::Tensor*> StateTensors() override { return seq_.StateTensors(); }
-  void CollectQuantizable(std::vector<nn::Quantizable*>* out) override {
-    seq_.CollectQuantizable(out);
-  }
 
  private:
   size_t input_length_;
@@ -179,10 +156,6 @@ class TransformerBackbone : public Backbone {
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
   std::vector<nn::Parameter*> Parameters() override;
   std::vector<nn::Tensor*> StateTensors() override { return {}; }
-  void CollectQuantizable(std::vector<nn::Quantizable*>* out) override {
-    patch_embed_.CollectQuantizable(out);
-    for (auto& b : blocks_) b->CollectQuantizable(out);
-  }
 
  private:
   size_t input_length_;

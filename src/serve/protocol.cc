@@ -95,15 +95,12 @@ StatusOr<WireRequest> ParseRequestLine(const std::string& line,
     if (request.selector.empty()) {
       return Status::InvalidArgument("select request needs \"selector\"");
     }
-    // A/B variant routing: "int8" rewrites the lookup to the quantized
-    // sibling (saved/registered as `<name>.int8`), so both variants stay
-    // independently hot-reloadable registry entries.
+    // Selectors run fp32 only; "variant" is accepted for that value and
+    // any other is refused rather than silently served as fp32.
     const std::string variant = doc.GetString("variant", "fp32");
-    if (variant == "int8") {
-      request.selector += ".int8";
-    } else if (variant != "fp32") {
+    if (variant != "fp32") {
       return Status::InvalidArgument("unknown variant '" + variant +
-                                     "' (expected \"fp32\" or \"int8\")");
+                                     "' (expected \"fp32\")");
     }
     const Json* values = doc.Find("values");
     if (values == nullptr || !values->is_array() || values->items().empty()) {

@@ -308,7 +308,6 @@ void InferenceServer::ProcessBatch(
   const Clock::time_point select_end = Clock::now();
   const double select_us = ToUs(select_end - select_begin);
   stats_.RecordRows(row_of.size(), unique_rows.size());
-  stats_.RecordVariantRequests(selector.IsInt8(), batch.items.size());
 
   for (size_t i = 0; i < batch.items.size(); ++i) {
     Pending& item = batch.items[i];

@@ -83,12 +83,6 @@ Json ServerStats::ToJson() const {
   batching.Set("rows_unique",
                Json::Number(static_cast<double>(rows_unique_.load())));
   out.Set("batching", batching);
-  Json variants = Json::Object();
-  variants.Set("fp32",
-               Json::Number(static_cast<double>(fp32_requests_.load())));
-  variants.Set("int8",
-               Json::Number(static_cast<double>(int8_requests_.load())));
-  out.Set("variants", variants);
   Json endpoints = Json::Object();
   endpoints.Set("select", endpoint(Endpoint::kSelect).ToJson());
   endpoints.Set("detect", endpoint(Endpoint::kDetect).ToJson());

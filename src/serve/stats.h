@@ -65,16 +65,6 @@ class ServerStats {
     rows_unique_.fetch_add(unique, std::memory_order_relaxed);
   }
 
-  /// Records `n` requests served by the fp32 or int8 selector variant
-  /// (A/B routing attribution; see "variants" in the stats reply).
-  void RecordVariantRequests(bool int8, uint64_t n) {
-    (int8 ? int8_requests_ : fp32_requests_)
-        .fetch_add(n, std::memory_order_relaxed);
-  }
-
-  uint64_t fp32_requests() const { return fp32_requests_.load(); }
-  uint64_t int8_requests() const { return int8_requests_.load(); }
-
   EndpointStats& endpoint(Endpoint e) {
     return endpoints_[static_cast<size_t>(e)];
   }
@@ -113,8 +103,6 @@ class ServerStats {
   std::atomic<uint64_t> max_batch_seen_{0};
   std::atomic<uint64_t> rows_total_{0};
   std::atomic<uint64_t> rows_unique_{0};
-  std::atomic<uint64_t> fp32_requests_{0};
-  std::atomic<uint64_t> int8_requests_{0};
   std::array<EndpointStats, kNumEndpoints> endpoints_;
 };
 

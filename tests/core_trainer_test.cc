@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 
 #include "common/rng.h"
 #include "core/mki.h"
@@ -209,6 +210,34 @@ TEST(TrainerTest, SaveLoadRoundTripPreservesPredictions) {
   ASSERT_TRUE(p1.ok() && p2.ok());
   EXPECT_EQ(*p1, *p2);
   EXPECT_EQ((*loaded)->num_classes(), 3u);
+  std::filesystem::remove(prefix + ".meta");
+  std::filesystem::remove(prefix + ".weights");
+}
+
+// Selectors run fp32 only, so a `.meta` naming any quant mode (an old
+// int8 checkpoint included) is refused with the quant-mode error rather
+// than loaded, or failed later as an architecture mismatch.
+TEST(TrainerTest, LoadRejectsQuantModeInMeta) {
+  SelectorTrainingData train = MakeTask(4, 16);
+  TrainerOptions opts = FastOptions();
+  opts.epochs = 1;
+  auto selector = TrainSelector(train, opts, nullptr);
+  ASSERT_TRUE(selector.ok());
+  const std::string prefix =
+      (std::filesystem::temp_directory_path() / "kdsel_selector_quant")
+          .string();
+  ASSERT_TRUE((*selector)->Save(prefix).ok());
+  ASSERT_TRUE(TrainedSelector::Load(prefix).ok());
+  {
+    std::ofstream meta(prefix + ".meta", std::ios::app);
+    meta << "quant=int8\n";
+  }
+  auto loaded = TrainedSelector::Load(prefix);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("unsupported quant mode"),
+            std::string::npos)
+      << loaded.status();
   std::filesystem::remove(prefix + ".meta");
   std::filesystem::remove(prefix + ".weights");
 }

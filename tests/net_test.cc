@@ -225,16 +225,20 @@ class TestClient {
     if (fd_ >= 0) close(fd_);
   }
 
-  void Send(const std::string& line) {
-    std::string framed = line;
-    framed.push_back('\n');
+  void Send(const std::string& line) { SendRaw(line + "\n"); }
+
+  /// Writes `bytes` as they are, with no line framing added.
+  void SendRaw(const std::string& bytes) {
     size_t off = 0;
-    while (off < framed.size()) {
-      const ssize_t n = write(fd_, framed.data() + off, framed.size() - off);
+    while (off < bytes.size()) {
+      const ssize_t n = write(fd_, bytes.data() + off, bytes.size() - off);
       KDSEL_CHECK(n > 0);
       off += static_cast<size_t>(n);
     }
   }
+
+  /// Half-closes: the server reads EOF, replies still arrive.
+  void ShutdownWrite() { KDSEL_CHECK(shutdown(fd_, SHUT_WR) == 0); }
 
   /// Reads one '\n'-terminated line; empty optional-ish "" on EOF.
   std::string ReadLine() {
@@ -402,6 +406,22 @@ TEST(NetServerTest, OversizedLineGetsErrorAndClose) {
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_FALSE(reply->GetBool("ok", true));
   EXPECT_NE(reply->GetString("error", "").find("exceeds"), std::string::npos);
+  EXPECT_TRUE(client.AtEof());
+}
+
+// The client's FIN also ends its last line: a request sent without a
+// trailing '\n' still gets exactly one reply before the server closes.
+TEST(NetServerTest, UnterminatedLastLineBeforeFinGetsItsReply) {
+  LoopbackServer loopback;
+  TestClient client(loopback.net->port());
+  client.SendRaw(R"({"op":"list","id":1})" "\n" R"({"op":"list","id":2})");
+  client.ShutdownWrite();
+  for (int id : {1, 2}) {
+    auto reply = serve::Json::Parse(client.ReadLine());
+    ASSERT_TRUE(reply.ok()) << "reply " << id << ": " << reply.status();
+    EXPECT_EQ(reply->GetNumber("id", -1), id);
+    EXPECT_TRUE(reply->GetBool("ok", false));
+  }
   EXPECT_TRUE(client.AtEof());
 }
 

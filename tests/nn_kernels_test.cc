@@ -17,7 +17,6 @@
 
 #include "common/rng.h"
 #include "nn/kernels/kernels.h"
-#include "nn/quantize.h"
 
 namespace kdsel::nn::kernels {
 namespace {
@@ -398,173 +397,11 @@ TEST_P(KernelEquivalenceTest, Conv1dForwardPropagatesNanLikeReference) {
   }
 }
 
-// ---------------------------------------------------------------- int8
-//
-// The int8 kernels promise more than closeness: integer accumulation is
-// exact and the dequantize uses one pinned fmaf, so every variant must
-// produce IDENTICAL results (EXPECT_EQ on floats, not near).
-
-std::vector<int8_t> RandomI8(size_t n, Rng& rng) {
-  std::vector<int8_t> v(n);
-  for (int8_t& x : v) {
-    x = static_cast<int8_t>(std::lrint(rng.Uniform(-127.0, 127.0)));
-  }
-  return v;
-}
-
-TEST_P(KernelEquivalenceTest, I8QuantizeBitwise) {
-  Rng rng(120);
-  for (size_t n : kVecSizes) {
-    // Inputs straddling the calibrated range [-2, 2]: out-of-range
-    // values must saturate to ±127 (never -128) in every variant.
-    const auto x = RandomVec(n, rng, -3.0, 3.0);
-    const float inv_scale = 127.0f / 2.0f;
-    std::vector<int8_t> q_ref(n, 99), q_got(n, -99);
-    ref().i8_quantize(x.data(), inv_scale, q_ref.data(), n);
-    ops().i8_quantize(x.data(), inv_scale, q_got.data(), n);
-    EXPECT_EQ(q_ref, q_got) << Label("i8_quantize") << " n=" << n;
-    for (int8_t v : q_got) {
-      ASSERT_GE(v, -127) << Label("i8_quantize must never emit -128");
-    }
-  }
-}
-
-TEST_P(KernelEquivalenceTest, I8QuantizeSaturatesAtBoundary) {
-  // Calibration absmax 2.0: exactly-at-boundary values map to exactly
-  // ±127, anything beyond clamps there instead of wrapping.
-  const std::vector<float> x = {2.0f, -2.0f, 2.5f, -1000.0f,
-                                1000.0f, 0.0f, 1.0f};
-  const float inv_scale = 127.0f / 2.0f;
-  std::vector<int8_t> q(x.size());
-  ops().i8_quantize(x.data(), inv_scale, q.data(), x.size());
-  EXPECT_EQ(q[0], 127) << Label("absmax maps to +127");
-  EXPECT_EQ(q[1], -127) << Label("-absmax maps to -127");
-  EXPECT_EQ(q[2], 127) << Label("past-range saturates");
-  EXPECT_EQ(q[3], -127) << Label("past-range saturates negative");
-  EXPECT_EQ(q[4], 127) << Label("far past-range saturates");
-  EXPECT_EQ(q[5], 0) << Label("zero stays zero");
-  EXPECT_EQ(q[6], 64) << Label("mid-range rounds to nearest");
-}
-
-TEST_P(KernelEquivalenceTest, I8MatMulTbIdentical) {
-  Rng rng(121);
-  for (const MatShape& s : kMatShapes) {
-    const auto a = RandomI8(s.n * s.k, rng);
-    const auto b = RandomI8(s.m * s.k, rng);  // B is [m, k]
-    const auto scale = RandomVec(s.m, rng, 0.001, 0.1);
-    const auto bias = RandomVec(s.m, rng);
-    std::vector<float> c_ref(s.n * s.m, -7.0f), c_got(s.n * s.m, 7.0f);
-    ref().i8_matmul_tb(a.data(), b.data(), c_ref.data(), s.k, s.m,
-                       scale.data(), bias.data(), 0, s.n);
-    ops().i8_matmul_tb(a.data(), b.data(), c_got.data(), s.k, s.m,
-                       scale.data(), bias.data(), 0, s.n);
-    EXPECT_EQ(c_ref, c_got) << Label("i8_matmul_tb biased");
-    // Bias-free path (attention projections).
-    ref().i8_matmul_tb(a.data(), b.data(), c_ref.data(), s.k, s.m,
-                       scale.data(), nullptr, 0, s.n);
-    ops().i8_matmul_tb(a.data(), b.data(), c_got.data(), s.k, s.m,
-                       scale.data(), nullptr, 0, s.n);
-    EXPECT_EQ(c_ref, c_got) << Label("i8_matmul_tb unbiased");
-  }
-}
-
-TEST_P(KernelEquivalenceTest, I8MatMulTbSaturatedOperands) {
-  // All-saturated operands maximize the inner i16 pair sums the AVX2
-  // path produces (2 * 127 * 127 = 32258 < 32767): no hidden overflow.
-  const size_t n = 3, k = 67, m = 5;  // odd k: exercises the byte tail
-  std::vector<int8_t> a(n * k, 127), b(m * k, 127);
-  std::vector<int8_t> a_neg(n * k, -127);
-  const std::vector<float> scale(m, 1.0f);
-  std::vector<float> c(n * m);
-  ops().i8_matmul_tb(a.data(), b.data(), c.data(), k, m, scale.data(),
-                     nullptr, 0, n);
-  for (float v : c) {
-    EXPECT_EQ(v, static_cast<float>(127 * 127 * static_cast<int>(k)))
-        << Label("i8 saturated positive");
-  }
-  ops().i8_matmul_tb(a_neg.data(), b.data(), c.data(), k, m, scale.data(),
-                     nullptr, 0, n);
-  for (float v : c) {
-    EXPECT_EQ(v, static_cast<float>(-127 * 127 * static_cast<int>(k)))
-        << Label("i8 saturated mixed-sign");
-  }
-}
-
-TEST_P(KernelEquivalenceTest, I8DotIdentical) {
-  Rng rng(122);
-  for (size_t n : kVecSizes) {
-    const auto a = RandomI8(n, rng);
-    const auto b = RandomI8(n, rng);
-    EXPECT_EQ(ref().i8_dot(a.data(), b.data(), n),
-              ops().i8_dot(a.data(), b.data(), n))
-        << Label("i8_dot") << " n=" << n;
-  }
-}
-
-TEST_P(KernelEquivalenceTest, I8RowRangeMatchesFullRange) {
-  // Same determinism contract as the fp32 kernels: chunked [i0, i1)
-  // calls must reproduce the full-range result exactly.
-  Rng rng(123);
-  const MatShape s{17, 23, 13};
-  const auto a = RandomI8(s.n * s.k, rng);
-  const auto b = RandomI8(s.m * s.k, rng);
-  const auto scale = RandomVec(s.m, rng, 0.001, 0.1);
-  const auto bias = RandomVec(s.m, rng);
-  std::vector<float> c_full(s.n * s.m, 0.0f), c_split(s.n * s.m, 0.0f);
-  ops().i8_matmul_tb(a.data(), b.data(), c_full.data(), s.k, s.m,
-                     scale.data(), bias.data(), 0, s.n);
-  for (size_t i0 = 0; i0 < s.n; i0 += 3) {
-    ops().i8_matmul_tb(a.data(), b.data(), c_split.data(), s.k, s.m,
-                       scale.data(), bias.data(), i0, std::min(s.n, i0 + 3));
-  }
-  EXPECT_EQ(c_full, c_split) << Label("i8_matmul_tb row-range");
-}
-
-TEST_P(KernelEquivalenceTest, I8ImplNamePresent) {
-  EXPECT_NE(ops().i8_impl, nullptr);
-  EXPECT_STRNE(ops().i8_impl, "");
-}
-
 INSTANTIATE_TEST_SUITE_P(AllVariants, KernelEquivalenceTest,
                          ::testing::ValuesIn(SupportedVariants()),
                          [](const ::testing::TestParamInfo<Variant>& info) {
                            return VariantName(info.param);
                          });
-
-// --------------------------------------------- weight-row quantization
-
-TEST(QuantizeWeightRowsTest, ZeroRangeChannelStaysFinite) {
-  // A constant-zero output channel has absmax 0: the scale must stay
-  // finite and positive (QuantScaleFromAbsMax pins it to 1) so the
-  // requantize never divides by zero, and the channel's output through
-  // the matmul must be exactly its bias.
-  EXPECT_EQ(QuantScaleFromAbsMax(0.0f), 1.0f);
-  const size_t rows = 3, k = 8;
-  std::vector<float> w(rows * k, 0.0f);
-  for (size_t j = 0; j < k; ++j) w[2 * k + j] = 0.5f;  // one live row
-  std::vector<int8_t> q(rows * k, 42);
-  std::vector<float> rs(rows, -1.0f);
-  const float act_scale = 0.02f;
-  QuantizeWeightRows(w.data(), rows, k, act_scale, q.data(), rs.data());
-  for (size_t j = 0; j < k; ++j) {
-    EXPECT_EQ(q[0 * k + j], 0);
-    EXPECT_EQ(q[1 * k + j], 0);
-    EXPECT_EQ(q[2 * k + j], 127);  // row absmax quantizes to exactly 127
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    EXPECT_TRUE(std::isfinite(rs[r]) && rs[r] > 0.0f) << "row " << r;
-  }
-
-  // Through the dequantizing matmul: dead channels emit exactly bias.
-  std::vector<int8_t> x(k, 93);
-  const std::vector<float> bias = {1.5f, -2.25f, 0.5f};
-  std::vector<float> out(rows, -1.0f);
-  Dispatch().i8_matmul_tb(x.data(), q.data(), out.data(), k, rows, rs.data(),
-                          bias.data(), 0, 1);
-  EXPECT_EQ(out[0], 1.5f);
-  EXPECT_EQ(out[1], -2.25f);
-  EXPECT_NE(out[2], 0.5f);  // the live channel actually contracts
-}
 
 // ------------------------------------------------------------ dispatch
 

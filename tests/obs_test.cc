@@ -221,7 +221,6 @@ TEST(FlightRecorderTest, DumpJsonParsesAndCarriesVerdictsAndStages) {
   served.compute_us = 30.0;
   served.write_us = 40.0;
   served.total_us = 100.0;
-  served.int8_variant = true;
   recorder.Record(served);
   obs::FlightRecord refused;
   std::snprintf(refused.trace, sizeof(refused.trace), "shed-1");
@@ -238,13 +237,11 @@ TEST(FlightRecorderTest, DumpJsonParsesAndCarriesVerdictsAndStages) {
   const serve::Json& first = recent->items()[0];
   EXPECT_EQ(first.GetString("trace", ""), "ok-1");
   EXPECT_EQ(first.GetString("verdict", ""), "ok");
-  EXPECT_EQ(first.GetString("variant", ""), "int8");
   EXPECT_DOUBLE_EQ(first.GetNumber("queue_us", 0), 10.0);
   EXPECT_DOUBLE_EQ(first.GetNumber("write_us", 0), 40.0);
   EXPECT_DOUBLE_EQ(first.GetNumber("total_us", 0), 100.0);
   const serve::Json& second = recent->items()[1];
   EXPECT_EQ(second.GetString("verdict", ""), "shed");
-  EXPECT_EQ(second.GetString("variant", ""), "fp32");
   // Slowest pool mirrors the same records (both fit).
   const serve::Json* slowest = parsed->Find("slowest");
   ASSERT_NE(slowest, nullptr);

@@ -210,85 +210,6 @@ TEST(RaceStressTest, StatsExportRacesInferenceAndReload) {
   EXPECT_EQ(server.stats().failed(), 0u);
 }
 
-// Fp32 and int8 variants of one selector serve side by side (registry
-// entries "tiny" and "tiny.int8") while a reloader keeps swapping fresh
-// int8 clones in. Clones of a quantized selector re-quantize from the
-// stored scales, so responses must stay stable across swaps, and the
-// per-variant stats counters must attribute every request.
-TEST(RaceStressTest, Int8VariantServesAndReloadsConcurrentlyWithFp32) {
-  SelectorRegistry registry(core::SelectorManager("/tmp/kdsel_race_none"));
-  auto trained = TrainTinySelector();
-  std::vector<std::vector<float>> calib;
-  for (int i = 0; i < 8; ++i) {
-    std::vector<float> w(16);
-    for (size_t t = 0; t < 16; ++t) {
-      w[t] = static_cast<float>(
-          std::sin((0.3 + 0.9 * (i % 2)) * static_cast<double>(t)));
-    }
-    calib.push_back(std::move(w));
-  }
-  auto quantized = trained->QuantizeInt8(calib);
-  ASSERT_TRUE(quantized.ok()) << quantized.status();
-  ASSERT_TRUE((*quantized)->IsInt8());
-  ASSERT_TRUE(registry.Register("tiny", std::move(trained)).ok());
-  ASSERT_TRUE(registry.Register("tiny.int8", std::move(*quantized)).ok());
-
-  ServerOptions opts;
-  opts.num_workers = 3;
-  opts.max_batch = 4;
-  opts.max_delay_us = 200;
-  InferenceServer server(&registry, opts);
-  ASSERT_TRUE(server.Start().ok());
-
-  const ts::TimeSeries series = MakeSineSeries(64, 0.4);
-  std::atomic<bool> done{false};
-  std::atomic<int> failures{0};
-
-  // Reloader: hot-swaps the int8 entry while both variants serve.
-  std::thread reloader([&] {  // kdsel-lint: allow(raw-thread)
-    while (!done.load(std::memory_order_acquire)) {
-      auto snapshot = registry.Get("tiny.int8");
-      if (!snapshot.ok()) {
-        failures.fetch_add(1);
-        break;
-      }
-      auto clone = snapshot->selector->Clone();
-      if (!clone.ok() || !(*clone)->IsInt8() ||
-          !registry.Register("tiny.int8", std::move(clone).value()).ok()) {
-        failures.fetch_add(1);
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
-    }
-  });
-
-  constexpr size_t kClients = 4;
-  constexpr size_t kPerClient = 10;
-  std::vector<std::thread> clients;  // kdsel-lint: allow(raw-thread)
-  for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (size_t r = 0; r < kPerClient; ++r) {
-        SelectRequest request;
-        // Even clients hit fp32, odd clients the int8 variant.
-        request.selector = (c % 2 == 0) ? "tiny" : "tiny.int8";
-        request.series = series;
-        request.run_detection = false;
-        auto response = server.Run(std::move(request));
-        if (!response.ok()) failures.fetch_add(1);
-      }
-    });
-  }
-  for (auto& client : clients) client.join();
-  done.store(true, std::memory_order_release);
-  reloader.join();
-  server.Stop();
-
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(server.stats().completed(), kClients * kPerClient);
-  EXPECT_EQ(server.stats().fp32_requests(), kClients / 2 * kPerClient);
-  EXPECT_EQ(server.stats().int8_requests(), kClients / 2 * kPerClient);
-}
-
 // Stop() must be idempotent under concurrency: a client thread stopping
 // the server races the destructor's Stop(). Before Stop() took the
 // lifecycle lock, both callers could pass the started-and-not-stopped

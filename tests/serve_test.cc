@@ -51,21 +51,6 @@ std::unique_ptr<core::TrainedSelector> TrainTinySelector(
   return std::move(selector).value();
 }
 
-/// Calibration windows matching the TrainTinySelector input recipe.
-std::vector<std::vector<float>> TinyCalibrationWindows(uint64_t seed = 4) {
-  Rng rng(seed);
-  std::vector<std::vector<float>> windows;
-  for (int i = 0; i < 8; ++i) {
-    std::vector<float> w(16);
-    for (size_t t = 0; t < 16; ++t) {
-      w[t] = std::sin((0.3 + 0.9 * (i % 2)) * static_cast<double>(t)) +
-             0.05f * static_cast<float>(rng.Normal());
-    }
-    windows.push_back(std::move(w));
-  }
-  return windows;
-}
-
 std::vector<ts::TimeSeries> MakeLabeledSeries(size_t count, uint64_t seed) {
   std::vector<ts::TimeSeries> series;
   Rng rng(seed);
@@ -672,23 +657,13 @@ TEST(InferenceServerTest, ServeLoopRecoversIdsFromMalformedLines) {
   EXPECT_EQ(good->GetNumber("id", 0), 43.0);
 }
 
-// A/B serving: fp32 under "tiny" and its quantized sibling under
-// "tiny.int8" live in the registry at once. The wire protocol routes via
-// the optional "variant" field, the int8 entry hot-reloads while fp32
-// keeps serving, and the stats reply attributes requests per variant.
-TEST(InferenceServerTest, ServesFp32AndInt8VariantsSideBySide) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "kdsel_srv_int8").string();
-  std::filesystem::remove_all(dir);
-  core::SelectorManager manager(dir);
-  auto trained = TrainTinySelector();
-  auto quantized = trained->QuantizeInt8(TinyCalibrationWindows());
-  ASSERT_TRUE(quantized.ok()) << quantized.status();
-  ASSERT_TRUE((*quantized)->IsInt8());
-  ASSERT_TRUE(manager.Save(*trained, "tiny").ok());
-  ASSERT_TRUE(manager.Save(**quantized, "tiny.int8").ok());
-
-  SelectorRegistry registry{core::SelectorManager(dir)};
+// Selectors run fp32 only. The wire keeps the optional "variant" field:
+// a missing one and "fp32" both serve, and any other value ("int8"
+// included) is refused at parse time with the request id echoed, never
+// served as fp32.
+TEST(InferenceServerTest, ServesFp32VariantAndRejectsOthers) {
+  SelectorRegistry registry(core::SelectorManager("/tmp/kdsel_srv_none"));
+  ASSERT_TRUE(registry.Register("tiny", TrainTinySelector()).ok());
   ServerOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 4;
@@ -707,48 +682,34 @@ TEST(InferenceServerTest, ServesFp32AndInt8VariantsSideBySide) {
 
   const std::string in(
       R"({"op":"select","id":1,)" + base + "}\n" +
-      R"({"op":"select","id":2,"variant":"int8",)" + base + "}\n" +
-      R"({"op":"select","id":3,"variant":"fp32",)" + base + "}\n" +
+      R"({"op":"select","id":2,"variant":"fp32",)" + base + "}\n" +
+      R"({"op":"select","id":3,"variant":"int8",)" + base + "}\n" +
       R"({"op":"select","id":4,"variant":"int4",)" + base + "}\n" +
-      R"({"op":"reload","id":5,"selector":"tiny.int8"})" "\n" +
-      R"({"op":"stats","id":6})" "\n" +
       R"({"op":"quit"})" "\n");
   std::vector<std::string> lines;
   ASSERT_TRUE(RunStdioSession(in, server, &lines).ok());
   server.Stop();
 
-  ASSERT_EQ(lines.size(), 6u);
-
-  // Default, explicit-fp32 and int8 routes all serve successfully.
-  for (int i : {0, 1, 2}) {
-    auto reply = Json::Parse(lines[static_cast<size_t>(i)]);
-    ASSERT_TRUE(reply.ok()) << lines[static_cast<size_t>(i)];
-    EXPECT_TRUE(reply->GetBool("ok", false)) << lines[static_cast<size_t>(i)];
+  ASSERT_EQ(lines.size(), 4u);
+  // Default and explicit-fp32 routes both serve.
+  for (size_t i : {size_t{0}, size_t{1}}) {
+    auto reply = Json::Parse(lines[i]);
+    ASSERT_TRUE(reply.ok()) << lines[i];
+    EXPECT_TRUE(reply->GetBool("ok", false)) << lines[i];
+    EXPECT_EQ(reply->GetNumber("id", 0), static_cast<double>(i + 1));
     EXPECT_FALSE(reply->GetString("model", "").empty());
   }
-  // Unknown variant is rejected at parse time, not served as fp32.
-  auto bad_variant = Json::Parse(lines[3]);
-  ASSERT_TRUE(bad_variant.ok());
-  EXPECT_FALSE(bad_variant->GetBool("ok", true));
-  EXPECT_NE(bad_variant->GetString("error", "").find("variant"),
-            std::string::npos);
-  // The int8 entry hot-reloads independently of the serving fp32 entry.
-  auto reload_reply = Json::Parse(lines[4]);
-  ASSERT_TRUE(reload_reply.ok());
-  EXPECT_TRUE(reload_reply->GetBool("ok", false)) << lines[4];
-
-  // Per-variant attribution: 2 fp32 selects (default + explicit), 1 int8.
-  EXPECT_EQ(server.stats().fp32_requests(), 2u);
-  EXPECT_EQ(server.stats().int8_requests(), 1u);
-  auto stats_reply = Json::Parse(lines[5]);
-  ASSERT_TRUE(stats_reply.ok());
-  const Json* stats = stats_reply->Find("stats");
-  ASSERT_NE(stats, nullptr);
-  const Json* variants = stats->Find("variants");
-  ASSERT_NE(variants, nullptr);
-  EXPECT_EQ(variants->GetNumber("fp32", -1), 2.0);
-  EXPECT_EQ(variants->GetNumber("int8", -1), 1.0);
-  std::filesystem::remove_all(dir);
+  // Every other variant is an error carrying its id.
+  for (size_t i : {size_t{2}, size_t{3}}) {
+    auto reply = Json::Parse(lines[i]);
+    ASSERT_TRUE(reply.ok()) << lines[i];
+    EXPECT_FALSE(reply->GetBool("ok", true)) << lines[i];
+    EXPECT_EQ(reply->GetNumber("id", 0), static_cast<double>(i + 1));
+    EXPECT_NE(reply->GetString("error", "").find("unknown variant"),
+              std::string::npos)
+        << lines[i];
+  }
+  EXPECT_EQ(server.stats().completed(), 2u);
 }
 
 // SubmitBatch decides every admission under one hold of submit_mu_, so

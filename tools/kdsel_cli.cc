@@ -701,75 +701,18 @@ int CmdTrace(const Flags& flags) {
   return 0;
 }
 
-/// Post-training int8 quantization of a saved selector. Calibration
-/// sweeps inference over windows drawn from every synthetic family, so
-/// the recorded activation ranges cover the benchmark's full input
-/// distribution. The result is saved as `<name>.int8` next to the fp32
-/// original — the serving registry treats it as an independent entry,
-/// so both variants can be resident (and hot-reloaded) simultaneously.
-int CmdQuantize(const Flags& flags) {
-  const std::string sel_dir = flags.Get("dir", "");
-  const std::string name = flags.Get("name", "");
-  if (sel_dir.empty() || name.empty()) {
-    std::fprintf(stderr,
-                 "usage: kdsel quantize --dir SELECTOR_DIR --name NAME"
-                 " [--out NAME.int8] [--calib-series 2] [--seed 7]\n");
-    return 2;
-  }
-  const std::string out_name = flags.Get("out", name + ".int8");
-  core::SelectorManager manager(sel_dir);
-  auto selector = manager.Load(name);
-  if (!selector.ok()) return Fail(selector.status());
-
-  datagen::BenchmarkOptions gen;
-  gen.series_per_family = flags.GetInt("calib-series", 2);
-  gen.min_length = 400;
-  gen.max_length = 800;
-  gen.seed = flags.GetInt("seed", 7);
-  auto datasets = datagen::GenerateBenchmark(gen);
-  if (!datasets.ok()) return Fail(datasets.status());
-
-  ts::WindowOptions window_opts;
-  window_opts.length = (*selector)->input_length();
-  window_opts.stride = window_opts.length;
-  std::vector<std::vector<float>> calibration;
-  for (const auto& ds : *datasets) {
-    for (const auto& s : ds.series) {
-      auto windows = ts::ExtractWindows(s, 0, window_opts);
-      if (!windows.ok()) return Fail(windows.status());
-      for (auto& w : *windows) calibration.push_back(std::move(w.values));
-    }
-  }
-  std::printf("calibrating on %zu windows from %zu datasets\n",
-              calibration.size(), datasets->size());
-
-  auto quantized = (*selector)->QuantizeInt8(calibration);
-  if (!quantized.ok()) return Fail(quantized.status());
-  Status saved = manager.Save(**quantized, out_name);
-  if (!saved.ok()) return Fail(saved);
-  std::printf("saved int8 selector '%s' under %s\n", out_name.c_str(),
-              sel_dir.c_str());
-  return 0;
-}
-
 int CmdVersion() {
   const nn::kernels::Ops& ops = nn::kernels::Dispatch();
   std::string available;
-  std::string int8_impls;
   for (nn::kernels::Variant v : nn::kernels::SupportedVariants()) {
     if (!available.empty()) available += " ";
     available += nn::kernels::VariantName(v);
-    if (!int8_impls.empty()) int8_impls += " ";
-    int8_impls += nn::kernels::VariantName(v);
-    int8_impls += "=";
-    int8_impls += nn::kernels::GetOps(v).i8_impl;
   }
   std::printf("kdsel (KDSelector reproduction)\n");
   std::printf("simd variant:       %s%s\n", ops.name,
               std::getenv("KDSEL_SIMD") != nullptr ? " (from KDSEL_SIMD)"
                                                    : "");
   std::printf("variants available: %s\n", available.c_str());
-  std::printf("int8 kernels:       %s\n", int8_impls.c_str());
   std::printf("threads:            %zu\n", ThreadPool::Global().threads());
   return 0;
 }
@@ -788,7 +731,6 @@ void PrintUsage() {
       "  ops        fetch live telemetry from a running TCP server\n"
       "  stream     online scorer: incremental features + drift-triggered"
       " re-selection\n"
-      "  quantize   int8-quantize a saved selector (served as NAME.int8)\n"
       "  trace      record a chrome://tracing profile of a small training "
       "run\n"
       "  version    print the active SIMD kernel variant and thread count\n");
@@ -816,7 +758,6 @@ int main(int argc, char** argv) {
   if (cmd == "serve") return CmdServe(flags);
   if (cmd == "ops") return CmdOps(flags);
   if (cmd == "stream") return CmdStream(flags);
-  if (cmd == "quantize") return CmdQuantize(flags);
   if (cmd == "trace") return CmdTrace(flags);
   PrintUsage();
   return 2;
